@@ -61,8 +61,10 @@
 // at the Nth durability-relevant operation — the process dies with exit
 // code 86, and the next run must recover.
 //
-// Text formats: edge lists are "u v" per line; label files are
-// "node scc" per line.
+// Text formats: edge lists are "u v" per line, with the grammar defined
+// once in graph/graph_io.h (every command, `update --edges` included,
+// reads them through graph::TextEdgeReader); label files are "node scc"
+// per line.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -106,6 +108,11 @@ namespace {
 
 using namespace extscc;
 
+// Every machine the tool builds uses 64 KiB blocks; the model needs at
+// least two of them in memory.
+constexpr std::size_t kBlockSize = 64 * 1024;
+constexpr std::uint64_t kMinMemoryBytes = 2 * kBlockSize;
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -128,6 +135,10 @@ int Usage() {
       "  extscc_tool update [--batch-size=N] --index=<artifact> "
       "--edges=<edges.txt>\n"
       "  extscc_tool fsck [--checkpoint-dir=D] [--dry-run] <artifact>\n"
+      "edge lists: \"src dst\" per line; blank lines and lines starting "
+      "with '#' or '%%' are skipped; ids below 2^32-1; full grammar in "
+      "src/graph/graph_io.h\n"
+      "memory_bytes: at least 2 blocks (%llu)\n"
       "query protocol (one per line): same <u> <v> | reach <u> <v> | "
       "stat <u>; blank line flushes the batch\n"
       "device models:\n"
@@ -147,7 +158,8 @@ int Usage() {
       "  5 I/O error           6 resource exhausted (I/O budget)\n"
       "  7 failed precondition 8 data corruption detected\n"
       "  9 unimplemented      10 fsck found repairable damage\n"
-      " 86 injected crash (--crash-at fired)\n");
+      " 86 injected crash (--crash-at fired)\n",
+      static_cast<unsigned long long>(kMinMemoryBytes));
   return 2;
 }
 
@@ -187,11 +199,22 @@ io::DeviceModelSpec g_device_model;
 io::PlacementPolicy g_placement = io::PlacementPolicy::kRoundRobin;
 bool g_checksum_blocks = false;
 
+// A memory_bytes argument below M = 2B is a usage error, not a value to
+// raise silently: prints why and returns false.
+bool MemoryArgumentOk(std::uint64_t memory_bytes) {
+  if (memory_bytes >= kMinMemoryBytes) return true;
+  std::fprintf(stderr,
+               "memory_bytes %llu is below the model's minimum M = 2B = "
+               "%llu bytes\n",
+               static_cast<unsigned long long>(memory_bytes),
+               static_cast<unsigned long long>(kMinMemoryBytes));
+  return false;
+}
+
 io::IoContext MakeContext(std::uint64_t memory_bytes) {
   io::IoContextOptions options;
-  options.block_size = 64 * 1024;
-  options.memory_bytes =
-      std::max<std::uint64_t>(memory_bytes, 2 * options.block_size);
+  options.block_size = kBlockSize;
+  options.memory_bytes = memory_bytes;
   options.sort_threads = g_sort_threads;
   options.io_threads = g_io_threads;
   options.scratch_dirs = g_scratch_dirs;
@@ -358,6 +381,7 @@ int CmdSolve(int argc, char** argv) {
       args.positional.size() > 2
           ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
           : (4u << 20);
+  if (!MemoryArgumentOk(memory)) return 2;
   const bool basic =
       args.positional.size() > 3 && args.positional[3] == "basic";
   core::ExtSccOptions options = basic ? core::ExtSccOptions::Basic()
@@ -466,6 +490,7 @@ int CmdCondense(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::uint64_t memory =
       argc > 4 ? std::strtoull(argv[4], nullptr, 10) : (4u << 20);
+  if (!MemoryArgumentOk(memory)) return 2;
   auto context = MakeContext(memory);
   auto loaded = graph::LoadTextEdgeList(&context, argv[2]);
   if (!loaded.ok()) return StatusExit(loaded.status());
@@ -505,6 +530,7 @@ int CmdBuildIndex(int argc, char** argv) {
       args.positional.size() > 2
           ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
           : (64u << 20);
+  if (!MemoryArgumentOk(memory)) return 2;
   auto context = MakeContext(memory);
   ReportStripePlacement(&context, stdout);
   auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
@@ -799,13 +825,19 @@ int CmdUpdate(int argc, char** argv) {
   }
   auto context = MakeContext(64 << 20);
   ReportStripePlacement(&context, stderr);
+  // The whole edge file is validated before the first batch lands: a bad
+  // line exits with its typed status and leaves the data version as it
+  // was, instead of applying the batches read before it.
+  {
+    graph::TextEdgeReader check(&context, edges_path);
+    graph::Edge edge;
+    while (check.Next(&edge)) {
+    }
+    if (!check.status().ok()) return StatusExit(check.status());
+  }
   auto opened = dyn::DynamicSccIndex::Open(&context, index_path);
   if (!opened.ok()) return StatusExit(opened.status());
   dyn::DynamicSccIndex index = std::move(opened).value();
-  std::ifstream in(edges_path);
-  if (!in) {
-    return StatusExit(util::Status::IoError("cannot open " + edges_path));
-  }
 
   std::vector<graph::Edge> batch;
   std::uint64_t total_edges = 0, total_ios = 0, rewrites = 0,
@@ -836,15 +868,17 @@ int CmdUpdate(int argc, char** argv) {
     batch.clear();
     return 0;
   };
-  std::uint64_t u = 0, v = 0;
-  while (in >> u >> v) {
-    batch.push_back(graph::Edge{static_cast<graph::NodeId>(u),
-                                static_cast<graph::NodeId>(v)});
+  graph::TextEdgeReader reader(&context, edges_path);
+  graph::Edge edge;
+  while (reader.Next(&edge)) {
+    batch.push_back(edge);
     if (batch.size() >= batch_size) {
       const int rc = flush();
       if (rc != 0) return rc;
     }
   }
+  // Only a file changed or unreadable since the check can fail here.
+  if (!reader.status().ok()) return StatusExit(reader.status());
   const int rc = flush();
   if (rc != 0) return rc;
   std::printf(
