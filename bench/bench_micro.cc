@@ -66,7 +66,7 @@ BENCHMARK(BM_ExternalSortEdges)->Arg(10'000)->Arg(100'000)->Arg(500'000);
 
 // ---- sort/scan engine microbenches ---------------------------------------
 // These quantify the PR-1 overhaul: tournament loser tree vs the linear
-// O(k) scan it replaced, batched vs per-record streaming, and prefetch.
+// O(k) scan it replaced, batched vs per-record streaming, and scheduler read-ahead.
 
 // Faithful replica of the seed's merge stack, kept here as the measured
 // baseline: a one-record lookahead reader (the pre-batching
@@ -142,15 +142,15 @@ struct SccByNodeNoKey {
 // Run-formation throughput in isolation (no merge): FormRuns over an
 // input several times the budget, so the loop is exactly the
 // fill → sort → spill stage every external sort starts with.
-// `sort_threads` 0/1 selects serial vs overlapped sort→spill.
+// `io_threads` 0/1 selects serial vs overlapped sort→spill.
 template <typename T, typename Less, typename Gen>
 void RunFormationBench(benchmark::State& state, Less less, Gen gen,
-                       std::size_t sort_threads) {
+                       std::size_t io_threads) {
   constexpr std::uint64_t kCount = 2'000'000;
   io::IoContextOptions options;
   options.block_size = 64 * 1024;
   options.memory_bytes = 4 << 20;
-  options.sort_threads = sort_threads;
+  options.io_threads = io_threads;
   auto ctx = std::make_unique<io::IoContext>(options);
   const std::string in = ctx->NewTempPath("in");
   {
@@ -182,7 +182,7 @@ graph::SccEntry RandomSccEntry(util::Rng& rng) {
 }
 
 // arg0: engine — 0 = stable_sort (keyless baseline), 1 = LSD radix,
-// 2 = radix + overlapped sort→spill pipeline (sort_threads=1).
+// 2 = radix + overlapped sort→spill pipeline (io_threads=1).
 void BM_RunFormation(benchmark::State& state) {
   const int engine = static_cast<int>(state.range(0));
   const bool scc = state.range(1) != 0;
@@ -415,13 +415,13 @@ BENCHMARK(BM_SortConsume)
     ->Unit(benchmark::kMillisecond);
 
 // Sequential scan throughput: per-record Next vs batched NextBatch vs
-// batched with background prefetch (arg: 0/1/2).
+// batched with scheduler read-ahead, io_threads=1 (arg: 0/1/2).
 void BM_ScanThroughput(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   io::IoContextOptions options;
   options.block_size = 64 * 1024;
   options.memory_bytes = 4 << 20;
-  options.prefetch = mode == 2;
+  options.io_threads = mode == 2 ? 1 : 0;
   auto ctx = std::make_unique<io::IoContext>(options);
   constexpr std::uint64_t kCount = 8 * 1024 * 1024;  // 64 MB of u64
   const std::string path = ctx->NewTempPath("scan");

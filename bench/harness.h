@@ -90,26 +90,17 @@ struct PointResult {
 // Opt-in overlap/striping knobs for every machine the benches build.
 // All default off so the Aggarwal-Vitter accounting stays the paper's:
 //
-//  - `--prefetch` (EXTSCC_BENCH_PREFETCH=1): background read-ahead per
-//    sequential stream. I/O *counts* are identical either way (the
-//    prefetcher only overlaps wall time), so turning it on is only
-//    interesting on cold storage where the figure benches' wall column
-//    then reflects the read-ahead.
-//  - `--sort-threads=N` (EXTSCC_BENCH_SORT_THREADS=N): overlapped run
-//    formation — a worker sorts and spills run buffers while the
-//    producer fills the next (the write-side twin of --prefetch).
-//    Sorted outputs are byte-identical, but unlike --prefetch the I/O
+//  - `--io-threads=N` (EXTSCC_BENCH_IO_THREADS=N): the one concurrency
+//    knob. Up to N I/O worker threads, one per storage device, keep
+//    every sequential stream's read-ahead ring full and double-buffer
+//    the merge output, and each run-forming sort hands full run
+//    buffers to a worker that sorts and spills them while the producer
+//    fills the next. Sorted outputs are byte-identical, but the I/O
 //    *counts* can shift: file sorts halve their run buffers to
 //    double-buffer, forming ~2x the runs (SortingWriter stages keep
-//    identical geometry). The figure tables stay the paper's only at
-//    the default 0.
-//  - `--io-threads=N` (EXTSCC_BENCH_IO_THREADS=N): device-parallel I/O
-//    — up to N I/O worker threads, one per storage device, keep every
-//    sequential stream's read-ahead ring full and double-buffer the
-//    merge output. Sorted outputs are byte-identical; like
-//    --sort-threads the I/O *counts* can shift slightly (ring
-//    reservations change run geometry), so the figure tables stay the
-//    paper's only at the default 0.
+//    identical geometry), and ring reservations change run geometry
+//    slightly. The figure tables stay the paper's only at the
+//    default 0.
 //  - `--scratch-dirs=a,b,...` (EXTSCC_BENCH_SCRATCH_DIRS=a,b): stripe
 //    scratch files round-robin across the listed directories (one per
 //    spindle/NVMe namespace).
@@ -129,16 +120,6 @@ struct PointResult {
 //    construction), or striped (every scratch file's BLOCKS round-robin
 //    across the devices, so one sequential stream runs at D× a single
 //    device's bandwidth).
-inline bool& PrefetchFlag() {
-  static bool enabled = false;
-  return enabled;
-}
-
-inline std::size_t& SortThreadsFlag() {
-  static std::size_t threads = 0;
-  return threads;
-}
-
 inline std::size_t& IoThreadsFlag() {
   static std::size_t threads = 0;
   return threads;
@@ -178,12 +159,7 @@ inline void ParseDeviceModelOrDie(const char* text) {
 
 inline void ParseBenchFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--prefetch") == 0) {
-      PrefetchFlag() = true;
-    } else if (std::strncmp(argv[i], "--sort-threads=", 15) == 0) {
-      SortThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 15, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
+    if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
       IoThreadsFlag() =
           static_cast<std::size_t>(std::strtoull(argv[i] + 13, nullptr, 10));
     } else if (std::strncmp(argv[i], "--scratch-dirs=", 15) == 0) {
@@ -194,23 +170,13 @@ inline void ParseBenchFlags(int argc, char** argv) {
       ParsePlacementOrDie(argv[i] + 12);
     } else {
       std::fprintf(stderr,
-                   "unknown flag %s (supported: --prefetch, "
-                   "--sort-threads=N, --io-threads=N, "
+                   "unknown flag %s (supported: --io-threads=N, "
                    "--scratch-dirs=a,b,..., "
                    "--device-model=posix|mem|throttled[:lat_us[:mb_per_s]]"
                    "|faulty[:seed=S,rate=R,...], "
                    "--placement=rr|spread|striped)\n",
                    argv[i]);
       std::exit(2);
-    }
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_PREFETCH")) {
-    if (env[0] != '\0' && env[0] != '0') PrefetchFlag() = true;
-  }
-  if (const char* env = std::getenv("EXTSCC_BENCH_SORT_THREADS")) {
-    if (env[0] != '\0') {
-      SortThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
     }
   }
   if (const char* env = std::getenv("EXTSCC_BENCH_IO_THREADS")) {
@@ -243,8 +209,6 @@ inline std::unique_ptr<io::IoContext> MakeMachine(std::uint64_t memory) {
   io::IoContextOptions options;
   options.block_size = BlockSize();
   options.memory_bytes = memory;
-  options.prefetch = PrefetchFlag();
-  options.sort_threads = SortThreadsFlag();
   options.io_threads = IoThreadsFlag();
   options.scratch_dirs = ScratchDirsFlag();
   options.device_model = DeviceModelFlag();

@@ -1,7 +1,6 @@
 // extscc_tool — command-line front end over the library's public API.
 //
-//   extscc_tool [--sort-threads=N] [--io-threads=N]
-//               [--scratch-dirs=a,b,...]
+//   extscc_tool [--io-threads=N] [--scratch-dirs=a,b,...]
 //               [--device-model=posix|mem|throttled[:...]|faulty[:...]]
 //               [--placement=rr|spread|striped] [--checksum-blocks] <command> ...
 //
@@ -33,15 +32,15 @@
 // boundary.
 //
 // Global flags (before the command) apply to every machine the tool
-// builds: --sort-threads enables overlapped run formation (labels are
-// byte-identical; I/O counts can shift because file sorts halve their
-// run buffers to double-buffer), --io-threads enables device-parallel
-// I/O (up to N worker threads, one per storage device, keep every
-// sequential stream's read-ahead full and double-buffer merge output —
-// labels byte-identical, counts can shift like --sort-threads),
-// --scratch-dirs builds one scratch
-// device per listed directory, --device-model selects what backs them
-// (real files, RAM, or latency/bandwidth-throttled files), and
+// builds: --io-threads is the one concurrency setting — up to N I/O
+// worker threads, one per storage device, keep every sequential
+// stream's read-ahead full and double-buffer merge output, and one
+// worker per sort overlaps run formation's sort+spill with filling
+// (labels byte-identical; I/O counts can shift because ring
+// reservations and halved run buffers change run geometry),
+// --scratch-dirs builds one scratch device per listed directory,
+// --device-model selects what backs them (real files, RAM, or
+// latency/bandwidth-throttled files), and
 // --placement selects how scratch files are assigned to devices
 // (round-robin, spread-group placing a merge group's runs on distinct
 // devices, or striped round-robining every scratch file's BLOCKS
@@ -61,11 +60,17 @@
 // at the Nth durability-relevant operation — the process dies with exit
 // code 86, and the next run must recover.
 //
+// Numeric flags and arguments are whole unsigned decimal strings
+// ("4194304xyz", "-1" and "" are usage errors, exit 2), and solve's
+// optional last argument is exactly `basic`.
+//
 // Text formats: edge lists are "u v" per line, with the grammar defined
 // once in graph/graph_io.h (every command, `update --edges` included,
 // reads them through graph::TextEdgeReader); label files are "node scc"
 // per line.
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,7 +121,7 @@ constexpr std::uint64_t kMinMemoryBytes = 2 * kBlockSize;
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: extscc_tool [--sort-threads=N] [--io-threads=N] "
+      "usage: extscc_tool [--io-threads=N] "
       "[--scratch-dirs=a,b,...] "
       "[--device-model=MODEL] [--placement=rr|spread|striped] "
       "[--checksum-blocks] [--crash-at=[tag:]N] <command> ...\n"
@@ -192,21 +197,44 @@ int StatusExit(const util::Status& status) {
 }
 
 // Global flags, parsed (and stripped) ahead of the command word.
-std::size_t g_sort_threads = 0;
 std::size_t g_io_threads = 0;
 std::vector<std::string> g_scratch_dirs;
 io::DeviceModelSpec g_device_model;
 io::PlacementPolicy g_placement = io::PlacementPolicy::kRoundRobin;
 bool g_checksum_blocks = false;
 
-// A memory_bytes argument below M = 2B is a usage error, not a value to
-// raise silently: prints why and returns false.
-bool MemoryArgumentOk(std::uint64_t memory_bytes) {
-  if (memory_bytes >= kMinMemoryBytes) return true;
+// Parses `text` as a whole unsigned decimal number: digits only, no
+// sign, no surrounding space, no trailing garbage, no overflow. On
+// failure prints why (naming `what`) and returns false; every numeric
+// flag and argument of the tool goes through here.
+bool ParseUnsigned(const char* what, const std::string& text,
+                   std::uint64_t* value) {
+  const char* end = text.data() + text.size();
+  std::uint64_t parsed = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error == std::errc() && stop == end) {
+    *value = parsed;
+    return true;
+  }
+  std::fprintf(stderr, "%s: '%s' is not an unsigned decimal number\n", what,
+               text.c_str());
+  return false;
+}
+
+// Reads an optional memory_bytes argument (`text` == nullptr: absent,
+// keep the default already in *memory_bytes). A non-number, or a value
+// below M = 2B, is a usage error rather than a value to raise silently:
+// prints why and returns false.
+bool MemoryArgument(const char* text, std::uint64_t* memory_bytes) {
+  if (text != nullptr &&
+      !ParseUnsigned("memory_bytes", text, memory_bytes)) {
+    return false;
+  }
+  if (*memory_bytes >= kMinMemoryBytes) return true;
   std::fprintf(stderr,
                "memory_bytes %llu is below the model's minimum M = 2B = "
                "%llu bytes\n",
-               static_cast<unsigned long long>(memory_bytes),
+               static_cast<unsigned long long>(*memory_bytes),
                static_cast<unsigned long long>(kMinMemoryBytes));
   return false;
 }
@@ -215,7 +243,6 @@ io::IoContext MakeContext(std::uint64_t memory_bytes) {
   io::IoContextOptions options;
   options.block_size = kBlockSize;
   options.memory_bytes = memory_bytes;
-  options.sort_threads = g_sort_threads;
   options.io_threads = g_io_threads;
   options.scratch_dirs = g_scratch_dirs;
   options.device_model = g_device_model;
@@ -288,6 +315,9 @@ CommandArgs SplitCommandArgs(int argc, char** argv) {
   return out;
 }
 
+// True when `flag` is `name=N` with N a whole unsigned number (stored
+// in *value). A matching flag with a malformed N prints why and returns
+// false, so the caller's unknown-flag branch turns it into exit 2.
 bool FlagValue(const std::string& flag, const char* name,
                std::uint64_t* value) {
   const std::size_t len = std::strlen(name);
@@ -295,8 +325,7 @@ bool FlagValue(const std::string& flag, const char* name,
       flag[len] != '=') {
     return false;
   }
-  *value = std::strtoull(flag.c_str() + len + 1, nullptr, 10);
-  return true;
+  return ParseUnsigned(name, flag.substr(len + 1), value);
 }
 
 bool FlagStringValue(const std::string& flag, const char* name,
@@ -313,10 +342,11 @@ bool FlagStringValue(const std::string& flag, const char* name,
 int CmdGenerate(int argc, char** argv) {
   if (argc < 5) return Usage();
   const std::string kind = argv[2];
-  const std::uint64_t n = std::strtoull(argv[3], nullptr, 10);
+  std::uint64_t n = 0;
+  if (!ParseUnsigned("num_nodes", argv[3], &n)) return 2;
   const std::string out_path = argv[4];
-  const std::uint64_t seed =
-      argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  if (argc > 5 && !ParseUnsigned("seed", argv[5], &seed)) return 2;
   auto context = MakeContext(64 << 20);
 
   graph::DiskGraph g;
@@ -377,13 +407,18 @@ int CmdSolve(int argc, char** argv) {
   if (resume && checkpoint_dir.empty()) return Usage();
   const std::string edges_path = args.positional[0];
   const std::string labels_path = args.positional[1];
-  const std::uint64_t memory =
-      args.positional.size() > 2
-          ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
-          : (4u << 20);
-  if (!MemoryArgumentOk(memory)) return 2;
-  const bool basic =
-      args.positional.size() > 3 && args.positional[3] == "basic";
+  std::uint64_t memory = 4u << 20;
+  if (!MemoryArgument(
+          args.positional.size() > 2 ? args.positional[2].c_str() : nullptr,
+          &memory)) {
+    return 2;
+  }
+  const bool basic = args.positional.size() > 3;
+  if (basic && args.positional[3] != "basic") {
+    std::fprintf(stderr, "solve: unknown mode '%s' (only 'basic')\n",
+                 args.positional[3].c_str());
+    return 2;
+  }
   core::ExtSccOptions options = basic ? core::ExtSccOptions::Basic()
                                       : core::ExtSccOptions::Optimized();
   options.checkpoint_dir = checkpoint_dir;
@@ -488,9 +523,8 @@ int CmdVerify(int argc, char** argv) {
 
 int CmdCondense(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const std::uint64_t memory =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : (4u << 20);
-  if (!MemoryArgumentOk(memory)) return 2;
+  std::uint64_t memory = 4u << 20;
+  if (!MemoryArgument(argc > 4 ? argv[4] : nullptr, &memory)) return 2;
   auto context = MakeContext(memory);
   auto loaded = graph::LoadTextEdgeList(&context, argv[2]);
   if (!loaded.ok()) return StatusExit(loaded.status());
@@ -526,11 +560,12 @@ int CmdBuildIndex(int argc, char** argv) {
   if (args.positional.size() < 2 || args.positional.size() > 3) {
     return Usage();
   }
-  const std::uint64_t memory =
-      args.positional.size() > 2
-          ? std::strtoull(args.positional[2].c_str(), nullptr, 10)
-          : (64u << 20);
-  if (!MemoryArgumentOk(memory)) return 2;
+  std::uint64_t memory = 64u << 20;
+  if (!MemoryArgument(
+          args.positional.size() > 2 ? args.positional[2].c_str() : nullptr,
+          &memory)) {
+    return 2;
+  }
   auto context = MakeContext(memory);
   ReportStripePlacement(&context, stdout);
   auto loaded = graph::LoadTextEdgeList(&context, args.positional[0]);
@@ -1080,12 +1115,10 @@ int main(int argc, char** argv) {
   while (first < argc && std::strncmp(argv[first], "--", 2) == 0) {
     if (std::strcmp(argv[first], "--checksum-blocks") == 0) {
       g_checksum_blocks = true;
-    } else if (std::strncmp(argv[first], "--sort-threads=", 15) == 0) {
-      g_sort_threads = static_cast<std::size_t>(
-          std::strtoull(argv[first] + 15, nullptr, 10));
     } else if (std::strncmp(argv[first], "--io-threads=", 13) == 0) {
-      g_io_threads = static_cast<std::size_t>(
-          std::strtoull(argv[first] + 13, nullptr, 10));
+      std::uint64_t value = 0;
+      if (!ParseUnsigned("--io-threads", argv[first] + 13, &value)) return 2;
+      g_io_threads = static_cast<std::size_t>(value);
     } else if (std::strncmp(argv[first], "--scratch-dirs=", 15) == 0) {
       g_scratch_dirs = util::SplitCommaList(argv[first] + 15);
     } else if (std::strncmp(argv[first], "--device-model=", 15) == 0) {

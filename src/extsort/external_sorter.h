@@ -265,7 +265,7 @@ RunFormation<T> FormRuns(io::IoContext* context,
                          SortRunInfo* info) {
   RunFormation<T> out;
   // Size the run buffer BEFORE the reader opens: the reader's optional
-  // read-ahead ring (prefetch / io_threads) reserves budget, and sizing
+  // read-ahead ring (io_threads) reserves budget, and sizing
   // after it would shrink every run — a geometry change that multiplies
   // runs and merge passes at tight budgets. Sized here, run geometry is
   // identical to the serial engine's; the ring overdraft is absorbed by
@@ -277,7 +277,7 @@ RunFormation<T> FormRuns(io::IoContext* context,
 
   // In-memory fast path: the whole input fits one run buffer, sorts
   // resident, and never spills — nothing to overlap, and bit-identical
-  // to the serial engine regardless of sort_threads.
+  // to the serial engine regardless of io_threads.
   if (info->num_records <= full_capacity) {
     const std::size_t capacity = static_cast<std::size_t>(info->num_records);
     std::vector<T> buffer(capacity);
@@ -295,13 +295,13 @@ RunFormation<T> FormRuns(io::IoContext* context,
     return out;
   }
 
-  // Spilling path. With sort_threads the budget-sized run buffer is
+  // Spilling path. With io_threads the budget-sized run buffer is
   // split into a double-buffered pair of half-size buffers — the
   // producer fills one while the worker sorts and spills the other —
   // both Reserve()d for the formation's lifetime (the halves always
   // fit: full_capacity was derived from the same availability). Run
-  // geometry at sort_threads=0 is exactly the serial engine's.
-  const bool overlap = context->sort_threads() > 0 && full_capacity >= 4;
+  // geometry at io_threads=0 is exactly the serial engine's.
+  const bool overlap = context->io_threads() > 0 && full_capacity >= 4;
   const std::size_t capacity = static_cast<std::size_t>(
       overlap ? full_capacity / 2 : full_capacity);
   std::optional<io::ScopedReservation> active_hold;
@@ -376,7 +376,7 @@ util::Status MergeGroupToFile(io::IoContext* context,
       readers.push_back(inputs.back().get());
     }
     // One block per input run plus the output writer's block — reserved
-    // after the readers open so their optional prefetch rings claim
+    // after the readers open so their optional read-ahead rings claim
     // budget first (the clamp absorbs the difference).
     const auto blocks = ReserveMergeBlocks(context, end - begin + 1);
     const io::ScratchFile out = temp.NewFile("mergerun", placement);
@@ -593,7 +593,7 @@ SortRunInfo SortFile(io::IoContext* context, const std::string& input_path,
 // sizes itself from the honest remainder, and the stacking that would
 // oversubscribe M is bounded by the halving instead of hidden.
 //
-// With IoContextOptions::sort_threads > 0 the writer double-buffers:
+// With IoContextOptions::io_threads > 0 the writer double-buffers:
 // spills trade the full add buffer to a RunSpillPipeline worker (which
 // sorts and spills it off-thread) for an equal-capacity empty buffer,
 // so Add() keeps streaming while the previous run writes. The second
@@ -696,7 +696,7 @@ class SortingWriter {
     // Allocate up front: push_back's geometric growth would otherwise
     // overshoot the reserved bytes by up to 2x.
     buffer_.reserve(capacity_);
-    // The spill stage: serial inline at sort_threads=0; otherwise a
+    // The spill stage: serial inline at io_threads=0; otherwise a
     // worker plus a second `capacity_` buffer the pipeline reserves
     // (clamped — a budget that cannot cover it degrades this writer to
     // the serial spill, with the same run geometry either way).

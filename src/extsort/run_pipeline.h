@@ -3,9 +3,9 @@
 //
 // Serial run formation alternates fill → sort → spill on one thread, so
 // the CPU sits idle during spill writes and the disk sits idle during
-// the sort — the write-side twin of the problem the read prefetcher
-// solves. RunSpillPipeline overlaps them: with
-// IoContextOptions::sort_threads > 0 a single background worker sorts
+// the sort — the write-side twin of the problem the read scheduler's
+// read-ahead solves. RunSpillPipeline overlaps them: with
+// IoContextOptions::io_threads > 0 a single background worker sorts
 // and spills buffer N while the producer fills buffer N+1 of a
 // double-buffered pair. Runs come back in submission order, each run's
 // bytes are identical to the serial path's (the buffer sort is stable
@@ -28,7 +28,7 @@
 // pipeline's lifetime, clamped by availability — when the budget cannot
 // cover a second buffer the pipeline silently degrades to the serial
 // fill → sort → spill loop (threaded() == false), preserving the
-// serial path's exact geometry. sort_threads == 0 never constructs a
+// serial path's exact geometry. io_threads == 0 never constructs a
 // worker at all, so the default engine is bit-identical to the
 // single-threaded one.
 #ifndef EXTSCC_EXTSORT_RUN_PIPELINE_H_
@@ -141,7 +141,7 @@ util::Status SpillRun(io::IoContext* context, const T* records,
 template <typename T, typename Less>
 class RunSpillPipeline {
  public:
-  // Threaded iff the context asks for sort workers AND the budget can
+  // Threaded iff the context has io_threads > 0 AND the budget can
   // hold the second `capacity`-record buffer (reserved here for the
   // pipeline's lifetime). Degrades to inline sort+spill otherwise.
   RunSpillPipeline(io::IoContext* context, Less less, bool dedup,
@@ -150,7 +150,7 @@ class RunSpillPipeline {
         less_(less),
         dedup_(dedup),
         group_(context->temp_files().NextGroupId()) {
-    if (context_->sort_threads() == 0 || capacity == 0) return;
+    if (context_->io_threads() == 0 || capacity == 0) return;
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(capacity) * sizeof(T);
     // All-or-nothing: the pipeline's second buffer is either fully

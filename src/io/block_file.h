@@ -68,14 +68,13 @@ class BlockFile {
   // `start_block`..EOF. kRead files only. With
   // IoContextOptions::io_threads > 0 the file registers a stream with
   // the context's shared ReadScheduler (one I/O worker per device keeps
-  // up to prefetch_depth blocks in flight); otherwise, with
-  // IoContextOptions::prefetch, it spawns the legacy per-file prefetch
-  // thread. Either way I/O statistics are still recorded on the
-  // consumer thread as each block is consumed by ReadBlock, so the
-  // model accounting is identical with and without read-ahead. A no-op
-  // when both engines are off or the MemoryBudget cannot cover the
-  // buffers; ReadBlock falls back to a direct device read whenever a
-  // request leaves the sequential order (sequential readers never do).
+  // up to prefetch_depth blocks in flight). I/O statistics are still
+  // recorded on the consumer thread as each block is consumed by
+  // ReadBlock, so the model accounting is identical with and without
+  // read-ahead. A no-op when io_threads == 0 or the MemoryBudget cannot
+  // cover the ring; ReadBlock falls back to a direct device read
+  // whenever a request leaves the sequential order (sequential readers
+  // never do).
   void StartSequentialPrefetch(std::uint64_t start_block = 0);
 
   // Routes subsequent WriteBlock calls through the device's I/O worker
@@ -118,7 +117,6 @@ class BlockFile {
   StorageDevice* device() const { return device_; }
 
  private:
-  class Prefetcher;
   friend class ReadScheduler;  // PreadBlock / RawWriteAt on its workers
 
   // The stripe member devices when this file lives on a StripedDevice
@@ -138,7 +136,7 @@ class BlockFile {
   }
 
   // Records the model accounting for a consumed read of `block_index`
-  // carrying `bytes` payload bytes (shared by the direct and prefetched
+  // carrying `bytes` payload bytes (shared by the direct and read-ahead
   // paths; always runs on the consumer thread).
   void CountRead(std::uint64_t block_index, std::size_t bytes);
 
@@ -148,7 +146,7 @@ class BlockFile {
   // Uncounted raw read of one block into `buf`; *bytes gets the payload
   // size (0 past EOF). Runs the retry policy and the checksum check.
   // Thread-safe (positional device read, thread-local staging) — the
-  // prefetch thread and the scheduler's device workers use it directly.
+  // scheduler's device workers use it directly.
   util::Status PreadBlock(std::uint64_t block_index, void* buf,
                           std::size_t* bytes);
 
@@ -178,11 +176,10 @@ class BlockFile {
   // Sequential/random classification state.
   std::int64_t last_read_block_ = -2;
   std::int64_t last_write_block_ = -2;
-  // Sticky first error; guarded by status_mu_ (prefetch/worker threads
-  // park errors concurrently with the consumer).
+  // Sticky first error; guarded by status_mu_ (scheduler workers park
+  // errors concurrently with the consumer).
   mutable std::mutex status_mu_;
   util::Status status_;
-  std::unique_ptr<Prefetcher> prefetcher_;
   // Scheduler streams (io_threads > 0): read-ahead ring / async writes.
   ScheduledStream* sched_reader_ = nullptr;
   ScheduledStream* sched_writer_ = nullptr;

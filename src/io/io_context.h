@@ -35,45 +35,29 @@ struct IoContextOptions {
   // ResourceExhausted, which benches print as the paper's INF.
   std::uint64_t io_budget = 0;
 
-  // Background prefetch for sequential streams. Off by default so the
-  // Aggarwal-Vitter accounting (io_model_test) is bit-identical; when on,
-  // every sequential RecordReader spawns one reader thread that stays up
-  // to `prefetch_depth` blocks ahead of the consumer. I/Os are still
-  // counted on the consumer thread as blocks are consumed, so the model
-  // numbers do not change — only the wall-clock overlap does.
-  bool prefetch = false;
-
-  // Blocks each prefetch thread may hold ahead of the consumer (>= 1;
-  // 2 = classic double buffering). Each open prefetching stream asks the
-  // MemoryBudget for prefetch_depth * block_size bytes and silently runs
-  // unprefetched when the budget cannot cover it.
+  // Read-ahead ring depth of each scheduler stream (io_threads > 0):
+  // blocks a sequential reader may hold in flight ahead of its consumer
+  // (>= 1; 2 = classic double buffering). Each stream asks the
+  // MemoryBudget for up to prefetch_depth * block_size bytes and runs
+  // with fewer slots — or none — when the budget cannot cover them.
   std::size_t prefetch_depth = 2;
 
-  // Overlapped run formation: when > 0, every run-forming sort (FormRuns
-  // behind SortFile/SortInto, SortingWriter) hands full buffers to one
-  // background worker that sorts and spills them while the producer
-  // fills the other buffer of a double-buffered pair — the write-side
-  // twin of the read prefetcher. 0 (the default) keeps run formation
-  // serial, so the Aggarwal-Vitter accounting and the run geometry are
-  // bit-identical to the single-threaded engine. Values > 1 are
-  // reserved and currently behave like 1 (a single worker). Stages
-  // degrade to the serial path per sort whenever the MemoryBudget
-  // cannot cover a second run buffer.
-  std::size_t sort_threads = 0;
-
-  // Device-parallel I/O: when > 0 the context owns a ReadScheduler with
-  // up to `io_threads` I/O worker threads — one per active storage
-  // device until the cap, shared round-robin past it. Every sequential
-  // reader then keeps up to `prefetch_depth` blocks in flight on its
-  // device's worker (replacing the per-file prefetch threads), and the
-  // sorter's merge output double-buffers one async write. 0 (the
-  // default) keeps the serial engine: byte-identical output and
-  // identical IoStats, the same discipline as sort_threads/prefetch.
-  // With io_threads > 0 the I/O *counts* can shift slightly (ring
-  // reservations change run geometry, like prefetch), but sorted
-  // outputs stay byte-identical. Streams degrade to direct reads /
-  // synchronous writes whenever the MemoryBudget cannot cover their
-  // buffers.
+  // Device-parallel I/O, the only concurrency setting: when > 0 the
+  // context owns a ReadScheduler with up to `io_threads` I/O worker
+  // threads — one per active storage device until the cap, shared
+  // round-robin past it. Every sequential reader then keeps up to
+  // `prefetch_depth` blocks in flight on its device's worker, the
+  // sorter's merge output double-buffers one async write, and every
+  // run-forming sort (FormRuns behind SortFile/SortInto, SortingWriter)
+  // hands full buffers to one background worker that sorts and spills
+  // them while the producer fills the other buffer of a double-buffered
+  // pair (run_pipeline.h). 0 (the default) keeps the serial engine:
+  // byte-identical output, identical IoStats and the single-threaded
+  // run geometry. With io_threads > 0 the I/O *counts* can shift
+  // slightly (ring reservations and halved run buffers change run
+  // geometry), but sorted outputs stay byte-identical. Streams and
+  // sorts degrade to direct reads / synchronous writes / serial run
+  // formation whenever the MemoryBudget cannot cover their buffers.
   std::size_t io_threads = 0;
 
   // Scratch directory parent ("" = $TMPDIR or /tmp).
@@ -139,9 +123,7 @@ class IoContext {
 
   std::size_t block_size() const { return options_.block_size; }
 
-  bool prefetch_enabled() const { return options_.prefetch; }
   std::size_t prefetch_depth() const { return options_.prefetch_depth; }
-  std::size_t sort_threads() const { return options_.sort_threads; }
   std::size_t io_threads() const { return options_.io_threads; }
   std::size_t io_retry_attempts() const { return options_.io_retry_attempts; }
   std::uint64_t io_retry_backoff_initial_us() const {
@@ -156,8 +138,9 @@ class IoContext {
   // (the serial engine). BlockFile is the only caller.
   ReadScheduler* read_scheduler() { return read_scheduler_.get(); }
 
-  // The stats object itself; with sort_threads > 0 a spill worker and
-  // the producing thread count I/Os concurrently, so all mutation (and
+  // The stats object itself; with io_threads > 0 the run-formation
+  // spill worker and the producing thread count I/Os concurrently (the
+  // scheduler's device workers count nothing), so all mutation (and
   // any read racing a live sort) must hold stats_mutex(). BlockFile is
   // the only mutator; callers snapshotting between phases (no sorter
   // live) may read without the lock, as before.
@@ -211,7 +194,7 @@ class IoContext {
 
   // ---- I/O error latch ------------------------------------------------
   // First-wins record of an unrecovered I/O error anywhere in the
-  // context (a failed spill worker, a dead prefetch slot, a direct
+  // context (a failed spill worker, a dead read-ahead slot, a direct
   // read). The long-running algorithms poll has_io_error() at phase
   // boundaries — the same discipline as io_budget_exceeded() — so an
   // error parked by a background thread surfaces as a typed Status on

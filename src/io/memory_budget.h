@@ -6,7 +6,7 @@
 // component oversubscribes M.
 //
 // Thread safety: all accounting is guarded by an internal mutex, so
-// concurrent pipelines (sort workers, prefetchers, serve-side query
+// concurrent pipelines (sort workers, read-ahead rings, serve-side query
 // readers) may reserve against one budget. ReserveUpTo is the atomic
 // form of the "clamp to what is left, then reserve" pattern — callers
 // that size a buffer from available_bytes() must use it, or two threads

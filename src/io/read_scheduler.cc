@@ -25,7 +25,7 @@ struct StreamSlot {
   State state = State::kEmpty;
   std::uint64_t block = 0;
   std::size_t bytes = 0;
-  // A failed prefetch parks its error here (bytes = 0) and the slot
+  // A failed read-ahead parks its error here (bytes = 0) and the slot
   // still becomes kFilled: the consumer — not the worker thread — is
   // who surfaces it, on its next TakeBlock. Workers never abort.
   util::Status status;

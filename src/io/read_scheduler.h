@@ -1,11 +1,10 @@
 // Shared device-parallel I/O engine behind IoContextOptions::io_threads.
 //
-// The per-file background prefetcher (block_file.cc) hides device
-// latency for ONE stream, but a k-way merge opens k streams — k threads,
-// and no notion of which streams share a spindle: two runs on one
-// device fight each other while a second device sits idle. The
-// ReadScheduler inverts the ownership: I/O worker threads belong to
-// *devices*, not files. Every sequential reader registers a stream with
+// A read-ahead thread per file would hide device latency for ONE
+// stream, but a k-way merge opens k streams — k threads, and no notion
+// of which streams share a spindle: two runs on one device fight each
+// other while a second device sits idle. The ReadScheduler inverts the
+// ownership: I/O worker threads belong to *devices*, not files. Every sequential reader registers a stream with
 // a small ring of block slots (up to IoContextOptions::prefetch_depth,
 // budgeted from the MemoryBudget with graceful degrade), and the worker
 // that owns the stream's device keeps the rings of all its streams
@@ -32,7 +31,7 @@
 // of its slot was consumed) keeps slot reuse single-owner even though
 // members fill out of order.
 //
-// Accounting discipline (identical to the prefetcher): workers move raw
+// Accounting discipline: workers move raw
 // bytes but never touch IoStats. Reads are counted by the consumer as it
 // takes each block, writes by the submitter as it hands a block over, so
 // the Aggarwal-Vitter counters — aggregate and per-device — are the same

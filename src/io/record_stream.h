@@ -141,8 +141,8 @@ class RecordReader {
           path + " is not a whole number of records");
       return;
     }
-    // Sequential scans are exactly what the read-ahead thread hides
-    // latency for; a no-op unless the IoContext enables prefetch.
+    // Sequential scans are exactly what the read scheduler hides
+    // latency for; a no-op unless the IoContext has io_threads > 0.
     file_->StartSequentialPrefetch();
   }
 
@@ -225,8 +225,8 @@ class PeekableReader {
           path + " is not a whole number of records");
       return;
     }
-    // Sequential scans are exactly what the read-ahead thread hides
-    // latency for; a no-op unless the IoContext enables prefetch.
+    // Sequential scans are exactly what the read scheduler hides
+    // latency for; a no-op unless the IoContext has io_threads > 0.
     file_->StartSequentialPrefetch();
     has_value_ = DecodeSlow();
   }

@@ -45,8 +45,8 @@ class StorageDevice;
 // transfers exactly `bytes` bytes or returns a non-OK Status (a short
 // transfer is an errno-carrying IoError, never a crash — the retry and
 // failover machinery above decides what survives). Implementations must
-// be safe for concurrent ReadAt calls from the prefetch thread
-// alongside the consumer.
+// be safe for concurrent ReadAt calls from the scheduler's device
+// workers alongside the consumer.
 class StorageFile {
  public:
   virtual ~StorageFile() = default;
@@ -158,7 +158,7 @@ class PosixDevice : public StorageDevice {
 
 // RAM-backed device. Paths are opaque keys ("mem://<name>/s<k>/..." for
 // scratch); file contents live in a hash map guarded by a device mutex,
-// with per-file locks so a prefetch thread and a spill worker can touch
+// with per-file locks so a device worker and a spill worker can touch
 // different files concurrently.
 class MemDevice : public StorageDevice {
  public:

@@ -12,7 +12,7 @@
 // pass then pulls its fan-in from independent spindles.
 //
 // NewPath/NewFile/Remove are thread-safe: with
-// IoContextOptions::sort_threads the run-formation spill worker names
+// IoContextOptions::io_threads the run-formation spill worker names
 // run files concurrently with the producing thread.
 #ifndef EXTSCC_IO_TEMP_FILE_MANAGER_H_
 #define EXTSCC_IO_TEMP_FILE_MANAGER_H_

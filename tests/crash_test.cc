@@ -365,6 +365,29 @@ TEST_F(CrashHarness, WallClockSigkillDuringSolveThenResume) {
   }
 }
 
+TEST_F(CrashHarness, MalformedArgumentsAreUsageErrors) {
+  // Every numeric flag and argument is parsed whole and solve's mode
+  // word is exact, so none of these may run with a substituted setting:
+  // each exits 2 before any work and no label file appears.
+  const std::string g = Path("g.txt");
+  const std::string out = Path("usage_labels.txt");
+  const std::string bad_args[] = {
+      "--io-threads=abc solve " + g + " " + out + " 4194304",
+      "--io-threads=-1 solve " + g + " " + out + " 4194304",
+      "solve " + g + " " + out + " 4194304 basik",
+      "solve " + g + " " + out + " 4194304xyz",
+      "solve " + g + " " + out + " 99999999999999999999",
+      "condense " + g + " " + out + " 4m",
+      "build-index --labels=x " + g + " " + out,
+      "generate web 2x00 " + out,
+      "generate web 2000 " + out + " 7s",
+  };
+  for (const std::string& args : bad_args) {
+    EXPECT_EQ(Tool(args), 2) << args;
+    EXPECT_FALSE(fs::exists(out)) << args;
+  }
+}
+
 TEST_F(CrashHarness, AtLeastFiftySeededCrashRuns) {
   // Top up to the acceptance floor from a SplitMix64 stream, so the
   // floor never depends on exactly how many durability points the

@@ -66,7 +66,7 @@ constexpr MatrixConfig kMatrix[] = {
 
 // RAM-backed scratch regardless of the env matrix (the chaos job's
 // faulty injection gets its own dedicated test below; the oracle runs
-// must be deterministic), but sort_threads and the like still apply.
+// must be deterministic), but io_threads and the like still apply.
 std::unique_ptr<io::IoContext> MakeDynContext(const MatrixConfig& config) {
   io::IoContextOptions options;
   options.block_size = 4096;

@@ -318,24 +318,6 @@ TEST(ExternalSortTest, RandomizedPropertyVsStdSort) {
   }
 }
 
-TEST(ExternalSortTest, SortWithPrefetchEnabledMatches) {
-  io::IoContextOptions options;
-  options.block_size = 4096;
-  options.memory_bytes = 16 << 10;
-  options.prefetch = true;
-  options.prefetch_depth = 2;
-  io::IoContext ctx(options);
-  auto values = RandomValues(80'000, 31, 1u << 31);
-  const std::string in = ctx.NewTempPath("in");
-  const std::string out = ctx.NewTempPath("out");
-  io::WriteAllRecords(&ctx, in, values);
-  const auto info =
-      extsort::SortFile<std::uint64_t, U64Less>(&ctx, in, out, U64Less());
-  EXPECT_GT(info.num_runs, 1u);
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(&ctx, out), values);
-}
-
 // Parameterized sweep: sort correctness across budget/block combinations.
 struct SortSweepParam {
   std::uint64_t memory;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baseline/dfs_scc.h"
@@ -35,7 +36,7 @@ using testing::MakeTestContext;
 // even tiny graphs spill real runs.
 std::unique_ptr<io::IoContext> MakeFaultyContext(
     const io::FaultSpec& fault, std::size_t num_devices,
-    std::size_t sort_threads = 0, std::size_t io_threads = 0,
+    std::size_t io_threads = 0,
     bool checksums = false,
     io::PlacementPolicy placement = io::PlacementPolicy::kRoundRobin) {
   io::IoContextOptions options;
@@ -45,7 +46,6 @@ std::unique_ptr<io::IoContext> MakeFaultyContext(
   options.device_model.model = io::DeviceModel::kFaulty;
   options.device_model.fault = fault;
   options.device_model.fault.inner = io::DeviceModel::kMem;
-  options.sort_threads = sort_threads;
   options.io_threads = io_threads;
   options.checksum_blocks = checksums;
   options.scratch_placement = placement;
@@ -85,19 +85,17 @@ TEST(FaultInjectionTest, TransientFaultsRetryToByteIdenticalSolve) {
   EXPECT_EQ(clean->stats().read_retries + clean->stats().write_retries, 0u)
       << "fault-free runs must never take the retry path";
 
-  // Compose with the threaded engines: retries live below the worker
+  // Compose with the threaded engine: retries live below the worker
   // rings, so overlapped sort/spill and device-parallel I/O must solve
   // through the same fault schedule.
-  struct { std::size_t sort_threads, io_threads; } grid[] = {
-      {0, 0}, {1, 0}, {0, 2}, {1, 2}};
-  for (const auto& point : grid) {
+  for (const std::size_t io_threads : {0, 2}) {
+    SCOPED_TRACE("io_threads=" + std::to_string(io_threads));
     io::FaultSpec fault;
     fault.seed = 41;
     fault.read_fault_rate = 2e-3;
     fault.write_fault_rate = 2e-3;
     fault.short_rate = 1e-3;
-    auto faulty = MakeFaultyContext(fault, 1, point.sort_threads,
-                                    point.io_threads);
+    auto faulty = MakeFaultyContext(fault, 1, io_threads);
     const auto labels = SolveOrDie(faulty.get(), edges, "transient faults");
     EXPECT_EQ(labels.size(), reference.size());
     for (std::size_t i = 0; i < labels.size() && i < reference.size(); ++i) {
@@ -121,26 +119,31 @@ TEST(FaultInjectionTest, PersistentDeviceFailureFailsOverAndVerifies) {
   // reads of what it already holds still work. The solve must
   // quarantine it, re-place the lost run on the healthy device, and
   // finish with verified labels. tag=sortrun scopes the schedule to
-  // spill writes — the failover seam this test exercises.
-  io::FaultSpec fault;
-  fault.seed = 7;
-  fault.fail_writes_after = 1;
-  fault.path_tag = "sortrun";
-  fault.device_index = 1;
-  auto ctx = MakeFaultyContext(fault, /*num_devices=*/2);
-  const auto edges = gen::RandomDigraphEdges(150, 450, 19);
-  const auto labels = SolveOrDie(ctx.get(), edges, "single dead device");
-  ASSERT_FALSE(labels.empty());
+  // spill writes — the failover seam this test exercises. At
+  // io_threads=2 the spills (and so the failover and quarantine) run on
+  // the run-formation worker thread.
+  for (const std::size_t io_threads : {0, 2}) {
+    SCOPED_TRACE("io_threads=" + std::to_string(io_threads));
+    io::FaultSpec fault;
+    fault.seed = 7;
+    fault.fail_writes_after = 1;
+    fault.path_tag = "sortrun";
+    fault.device_index = 1;
+    auto ctx = MakeFaultyContext(fault, /*num_devices=*/2, io_threads);
+    const auto edges = gen::RandomDigraphEdges(150, 450, 19);
+    const auto labels = SolveOrDie(ctx.get(), edges, "single dead device");
+    ASSERT_FALSE(labels.empty());
 
-  const auto devices = ctx->temp_files().devices();
-  ASSERT_EQ(devices.size(), 2u);
-  EXPECT_TRUE(ctx->temp_files().IsQuarantined(devices[1]))
-      << "the persistently failing device must be quarantined";
-  EXPECT_FALSE(ctx->temp_files().IsQuarantined(devices[0]));
-  EXPECT_EQ(ctx->temp_files().num_available_devices(), 1u);
-  EXPECT_FALSE(ctx->has_io_error())
-      << ctx->io_error().ToString()
-      << " — a recovered failover must absorb its latched error";
+    const auto devices = ctx->temp_files().devices();
+    ASSERT_EQ(devices.size(), 2u);
+    EXPECT_TRUE(ctx->temp_files().IsQuarantined(devices[1]))
+        << "the persistently failing device must be quarantined";
+    EXPECT_FALSE(ctx->temp_files().IsQuarantined(devices[0]));
+    EXPECT_EQ(ctx->temp_files().num_available_devices(), 1u);
+    EXPECT_FALSE(ctx->has_io_error())
+        << ctx->io_error().ToString()
+        << " — a recovered failover must absorb its latched error";
+  }
 
   // Byte-identity with the clean 2-device machine is NOT expected here
   // (placement legitimately shifts after the quarantine); the oracle
@@ -164,9 +167,8 @@ TEST(FaultInjectionTest, StripedTransientFaultsRetryToByteIdenticalSolve) {
   fault.write_fault_rate = 2e-3;
   fault.short_rate = 1e-3;
   auto faulty =
-      MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/0,
-                        /*io_threads=*/2, /*checksums=*/false,
-                        io::PlacementPolicy::kStriped);
+      MakeFaultyContext(fault, /*num_devices=*/2, /*io_threads=*/2,
+                        /*checksums=*/false, io::PlacementPolicy::kStriped);
   const auto labels =
       SolveOrDie(faulty.get(), edges, "striped transient faults");
   ASSERT_EQ(labels.size(), reference.size());
@@ -190,9 +192,8 @@ TEST(FaultInjectionTest, StripedPersistentMemberFailureQuarantinesMember) {
   fault.path_tag = "sortrun";
   fault.device_index = 1;
   auto ctx =
-      MakeFaultyContext(fault, /*num_devices=*/2, /*sort_threads=*/0,
-                        /*io_threads=*/0, /*checksums=*/false,
-                        io::PlacementPolicy::kStriped);
+      MakeFaultyContext(fault, /*num_devices=*/2, /*io_threads=*/0,
+                        /*checksums=*/false, io::PlacementPolicy::kStriped);
   const auto edges = gen::RandomDigraphEdges(150, 450, 19);
   const auto labels = SolveOrDie(ctx.get(), edges, "striped dead member");
   ASSERT_FALSE(labels.empty());
@@ -214,8 +215,8 @@ TEST(FaultInjectionTest, BitFlipsYieldCorruptionNeverWrongAnswers) {
   io::FaultSpec fault;
   fault.seed = 23;
   fault.corrupt_rate = 5e-3;  // dense enough that some read gets hit
-  auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*io_threads=*/0, /*checksums=*/true);
+  auto ctx = MakeFaultyContext(fault, 1, /*io_threads=*/0,
+                               /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 29);
   const auto g = graph::MakeDiskGraph(ctx.get(), edges);
   const std::string out = ctx->NewTempPath("labels");
@@ -236,8 +237,8 @@ TEST(FaultInjectionTest, ChecksummedCleanSolveVerifies) {
   // must not notice. (Fault-free faulty device = plain pass-through.)
   io::FaultSpec fault;
   fault.seed = 3;
-  auto ctx = MakeFaultyContext(fault, 1, /*sort_threads=*/0,
-                               /*io_threads=*/2, /*checksums=*/true);
+  auto ctx = MakeFaultyContext(fault, 1, /*io_threads=*/2,
+                               /*checksums=*/true);
   const auto edges = gen::RandomDigraphEdges(150, 450, 17);
   const auto labels = SolveOrDie(ctx.get(), edges, "checksums on");
   EXPECT_FALSE(labels.empty());

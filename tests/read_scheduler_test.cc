@@ -220,31 +220,26 @@ TEST(ReadSchedulerTest, TightBudgetDegradesWithoutDeadlockOrAbort) {
                            result.size() * sizeof(Edge)));
 }
 
-TEST(ReadSchedulerTest, PrefetchFlagAndIoThreadsCompose) {
-  // Both engines on: the scheduler takes precedence per stream; output
-  // must still match the serial engine.
-  const auto edges = RandomEdges(25'000, 41, 1u << 12);
-  auto run = [&](bool prefetch, std::size_t io_threads) {
-    io::IoContextOptions options;
-    options.block_size = 1024;
-    options.memory_bytes = 24 << 10;
-    options.device_model.model = io::DeviceModel::kMem;
-    options.prefetch = prefetch;
-    testing::ApplyTestEnvOptions(&options);
-    options.io_threads = io_threads;
-    auto ctx = std::make_unique<io::IoContext>(options);
-    const std::string in = ctx->NewTempPath("in");
-    io::WriteAllRecords(ctx.get(), in, edges);
-    const std::string out = ctx->NewTempPath("out");
-    extsort::SortFile<Edge, graph::EdgeByDst>(ctx.get(), in, out,
-                                              graph::EdgeByDst());
-    return io::ReadAllRecords<Edge>(ctx.get(), out);
-  };
-  const auto serial = run(false, 0);
-  const auto combined = run(true, 2);
-  ASSERT_EQ(serial.size(), combined.size());
-  EXPECT_EQ(0, std::memcmp(serial.data(), combined.data(),
-                           serial.size() * sizeof(Edge)));
+TEST(ReadSchedulerTest, ReaderDestroyedBeforeEofUnregistersCleanly) {
+  // A reader abandoned after its first record still has ring slots in
+  // flight on the device worker; its destructor must unregister the
+  // stream (waiting out the in-flight read) without hanging or touching
+  // freed slots, and the context must stay usable.
+  auto ctx = MakeContext(1 << 20, 4096, 1);
+  const std::string path = ctx->NewTempPath("abandon");
+  std::vector<std::uint64_t> values(100'000);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = i;
+  io::WriteAllRecords(ctx.get(), path, values);
+  const std::uint64_t available = ctx->memory().available_bytes();
+  {
+    io::RecordReader<std::uint64_t> reader(ctx.get(), path);
+    std::uint64_t v;
+    ASSERT_TRUE(reader.Next(&v));
+    EXPECT_EQ(v, 0u);
+  }
+  EXPECT_EQ(ctx->memory().available_bytes(), available)
+      << "the read-ahead ring's reservation must be released";
+  EXPECT_EQ(io::ReadAllRecords<std::uint64_t>(ctx.get(), path), values);
 }
 
 // Striped oracle: every sorter entry point must reproduce the serial

@@ -1,7 +1,7 @@
 // Equivalence and degradation tests for the overlapped sort→spill
-// pipeline (run_pipeline.h, IoContextOptions::sort_threads): every
+// pipeline (run_pipeline.h, IoContextOptions::io_threads): every
 // sorter entry point must produce byte-identical sorted output with
-// sort_threads=1 and sort_threads=0, spilled runs must never leak, and
+// io_threads=1 and io_threads=0, spilled runs must never leak, and
 // a budget too tight for a second buffer must degrade to the serial
 // path rather than abort.
 #include <gtest/gtest.h>
@@ -29,17 +29,17 @@ using graph::Edge;
 using graph::NodeId;
 
 std::unique_ptr<io::IoContext> MakeContext(
-    std::uint64_t memory, std::size_t block, std::size_t sort_threads,
+    std::uint64_t memory, std::size_t block, std::size_t io_threads,
     io::DeviceModel model = io::DeviceModel::kMem) {
   io::IoContextOptions options;
   options.block_size = block;
   options.memory_bytes = memory;
   options.device_model.model = model;
   // Env overrides (device model, scratch dirs) reach this suite too —
-  // but sort_threads is this suite's subject, so the explicit parameter
-  // wins over EXTSCC_TEST_SORT_THREADS.
+  // but io_threads is this suite's subject, so the explicit parameter
+  // wins over EXTSCC_TEST_IO_THREADS.
   testing::ApplyTestEnvOptions(&options);
-  options.sort_threads = sort_threads;
+  options.io_threads = io_threads;
   return std::make_unique<io::IoContext>(options);
 }
 
@@ -212,7 +212,7 @@ TEST(RunPipelineTest, ThreadedIoCountsMatchSerialForSortingWriter) {
   EXPECT_EQ(io_count(0), io_count(1));
 }
 
-TEST(RunPipelineTest, ExtSccEndToEndWithSortThreads) {
+TEST(RunPipelineTest, ExtSccEndToEndWithIoThreads) {
   // Whole-system smoke: a multi-level Ext-SCC solve with overlapped run
   // formation must still match the oracle partition. The suite's
   // designated Posix round trip: the rest runs on MemDevice scratch.
@@ -228,7 +228,7 @@ TEST(RunPipelineTest, ExtSccEndToEndWithSortThreads) {
                                 core::ExtSccOptions::Optimized());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   testing::ExpectSccFileMatchesOracle(ctx.get(), g, scc_path,
-                                      "ext-scc sort_threads=1");
+                                      "ext-scc io_threads=1");
 }
 
 }  // namespace

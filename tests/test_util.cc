@@ -12,12 +12,6 @@
 namespace extscc::testing {
 
 void ApplyTestEnvOptions(io::IoContextOptions* options) {
-  if (const char* env = std::getenv("EXTSCC_TEST_SORT_THREADS")) {
-    if (env[0] != '\0') {
-      options->sort_threads =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
   if (const char* env = std::getenv("EXTSCC_TEST_IO_THREADS")) {
     if (env[0] != '\0') {
       options->io_threads =
@@ -57,7 +51,7 @@ std::unique_ptr<io::IoContext> MakeContextWithModel(
   options.memory_bytes = memory_bytes;
   options.device_model.model = model;
   // The environment wins over the suite's requested backing, so the CI
-  // matrix (threaded, multidevice) drives every fixture-built suite.
+  // matrix (tsan, multidevice, chaos) drives every fixture-built suite.
   ApplyTestEnvOptions(&options);
   return std::make_unique<io::IoContext>(options);
 }

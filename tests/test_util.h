@@ -14,10 +14,9 @@
 namespace extscc::testing {
 
 // Applies the test-matrix environment overrides to `options`:
-//  - EXTSCC_TEST_SORT_THREADS=N: overlapped run formation (the threaded
-//    CI job sets 1; sorted outputs are byte-identical by design).
-//  - EXTSCC_TEST_IO_THREADS=N: device-parallel I/O workers (the TSan CI
-//    job sets 2; sorted outputs are byte-identical by design).
+//  - EXTSCC_TEST_IO_THREADS=N: device-parallel I/O workers plus the
+//    overlapped run-formation worker (the TSan and sanitize CI jobs set
+//    2; sorted outputs are byte-identical by design).
 //  - EXTSCC_TEST_DEVICE_MODEL=posix|mem|throttled[:lat_us[:mb_per_s]]
 //    |faulty[:seed=S,rate=R,...]: scratch device backing (the
 //    multidevice CI job sets throttled; the chaos job sets faulty with
