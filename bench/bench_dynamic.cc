@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "dyn/dynamic_index.h"
 #include "gen/webgraph_generator.h"
 #include "graph/disk_graph.h"
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      config.nodes = std::strtoull(argv[i] + 8, nullptr, 10);
+      config.nodes = bench::UnsignedOrDie("--nodes", argv[i] + 8);
     } else if (std::strncmp(argv[i], "--fractions=", 12) == 0) {
       config.fractions = ParseFractionList(argv[i] + 12);
     } else {

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "bench/merge_lab.h"
 #include "graph/graph_types.h"
 #include "io/io_context.h"
@@ -235,22 +236,18 @@ int main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-      config.runs = std::strtoull(argv[i] + 7, nullptr, 10);
+      config.runs = bench::UnsignedOrDie("--runs", argv[i] + 7);
     } else if (std::strncmp(argv[i], "--run-blocks=", 13) == 0) {
-      config.run_blocks = std::strtoull(argv[i] + 13, nullptr, 10);
+      config.run_blocks = bench::UnsignedOrDie("--run-blocks", argv[i] + 13);
     } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-      config.devices = std::strtoull(argv[i] + 10, nullptr, 10);
+      config.devices = bench::UnsignedOrDie("--devices", argv[i] + 10);
     } else if (std::strncmp(argv[i], "--latency-us=", 13) == 0) {
-      config.latency_us = std::strtoull(argv[i] + 13, nullptr, 10);
+      config.latency_us = bench::UnsignedOrDie("--latency-us", argv[i] + 13);
     } else if (std::strncmp(argv[i], "--mb-per-s=", 11) == 0) {
-      config.mb_per_s = std::strtoull(argv[i] + 11, nullptr, 10);
+      config.mb_per_s = bench::UnsignedOrDie("--mb-per-s", argv[i] + 11);
     } else if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
-      config.io_threads.clear();
-      for (const char* p = argv[i] + 13; *p != '\0';) {
-        config.io_threads.push_back(std::strtoull(p, nullptr, 10));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
+      config.io_threads =
+          bench::UnsignedListOrDie("--io-threads", argv[i] + 13);
     } else {
       std::fprintf(stderr,
                    "usage: bench_merge_parallel [--runs=K] [--run-blocks=N] "

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "app/bisimulation.h"
-#include "app/reachability_index.h"
 #include "bench/merge_lab.h"
 #include "baseline/buffered_repository_tree.h"
 #include "core/ext_scc.h"
@@ -26,6 +25,9 @@
 #include "io/record_stream.h"
 #include "scc/semi_external_scc.h"
 #include "scc/tarjan.h"
+#include "serve/artifact.h"
+#include "serve/index_builder.h"
+#include "serve/query_engine.h"
 #include "util/random.h"
 
 namespace {
@@ -571,30 +573,42 @@ BENCHMARK(BM_RmatGenerate)->Arg(1 << 14)->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReachabilityQuery(benchmark::State& state) {
+  // One iteration = one 1,024-query batch through the serve artifact:
+  // the probe sort, the node→SCC sweep, then the interval labels.
   auto ctx = MakeCtx(8 << 20);
   const auto g = graph::MakeDiskGraph(
       ctx.get(), gen::RandomDigraphEdges(5'000, 15'000, 7));
-  const std::string scc_path = ctx->NewTempPath("scc");
-  auto scc = core::RunExtScc(ctx.get(), g, scc_path,
-                             core::ExtSccOptions::Optimized());
-  if (!scc.ok()) {
-    state.SkipWithError("ext-scc failed");
-    return;
-  }
-  auto index = app::ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  if (!index.ok()) {
+  const std::string artifact_path = ctx->NewTempPath("reach_index");
+  if (!serve::BuildArtifact(ctx.get(), g, artifact_path, {}).ok()) {
     state.SkipWithError("index build failed");
     return;
   }
+  auto index = serve::ArtifactReader::Open(ctx.get(), artifact_path);
+  if (!index.ok()) {
+    state.SkipWithError("index open failed");
+    return;
+  }
+  const serve::QueryEngine engine(&index.value());
   const auto nodes = io::ReadAllRecords<graph::NodeId>(ctx.get(),
                                                        g.node_path);
   util::Rng rng(1);
-  for (auto _ : state) {
-    const auto u = nodes[rng.Uniform(nodes.size())];
-    const auto v = nodes[rng.Uniform(nodes.size())];
-    benchmark::DoNotOptimize(index.value().Reachable(u, v));
+  std::vector<serve::Query> queries(1024);
+  for (serve::Query& q : queries) {
+    q = {serve::QueryType::kReachable, nodes[rng.Uniform(nodes.size())],
+         nodes[rng.Uniform(nodes.size())]};
   }
-  state.SetItemsProcessed(state.iterations());
+  std::vector<serve::QueryAnswer> answers(queries.size());
+  for (auto _ : state) {
+    if (!engine.RunBatch(ctx.get(), queries.data(), queries.size(),
+                         answers.data())
+             .ok()) {
+      state.SkipWithError("query batch failed");
+      return;
+    }
+    benchmark::DoNotOptimize(answers.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * queries.size());
 }
 BENCHMARK(BM_ReachabilityQuery);
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "gen/webgraph_generator.h"
 #include "io/io_context.h"
 #include "serve/artifact.h"
@@ -166,33 +167,24 @@ void WriteJson(const Config& config, std::uint64_t num_sccs,
   std::printf("\n[json written to BENCH_serve.json]\n");
 }
 
-std::vector<std::size_t> ParseSizeList(const char* text) {
-  std::vector<std::size_t> out;
-  for (const char* p = text; *p != '\0';) {
-    out.push_back(std::strtoull(p, nullptr, 10));
-    while (*p != '\0' && *p != ',') ++p;
-    if (*p == ',') ++p;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      config.nodes = std::strtoull(argv[i] + 8, nullptr, 10);
+      config.nodes = bench::UnsignedOrDie("--nodes", argv[i] + 8);
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      config.queries = std::strtoull(argv[i] + 10, nullptr, 10);
+      config.queries = bench::UnsignedOrDie("--queries", argv[i] + 10);
     } else if (std::strncmp(argv[i], "--batch-sizes=", 14) == 0) {
-      config.batch_sizes = ParseSizeList(argv[i] + 14);
+      config.batch_sizes =
+          bench::UnsignedListOrDie("--batch-sizes", argv[i] + 14);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      config.threads = ParseSizeList(argv[i] + 10);
+      config.threads = bench::UnsignedListOrDie("--threads", argv[i] + 10);
     } else if (std::strncmp(argv[i], "--latency-us=", 13) == 0) {
-      config.latency_us = std::strtoull(argv[i] + 13, nullptr, 10);
+      config.latency_us = bench::UnsignedOrDie("--latency-us", argv[i] + 13);
     } else if (std::strncmp(argv[i], "--mb-per-s=", 11) == 0) {
-      config.mb_per_s = std::strtoull(argv[i] + 11, nullptr, 10);
+      config.mb_per_s = bench::UnsignedOrDie("--mb-per-s", argv[i] + 11);
     } else {
       std::fprintf(stderr,
                    "usage: bench_serve [--nodes=N] [--queries=Q] "

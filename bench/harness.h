@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/dfs_scc.h"
@@ -23,6 +24,7 @@
 #include "graph/disk_graph.h"
 #include "io/io_context.h"
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/timer.h"
 
 namespace extscc::bench {
@@ -157,11 +159,30 @@ inline void ParseDeviceModelOrDie(const char* text) {
   }
 }
 
+// A numeric flag value or argument, parsed whole (util::ParseUnsigned);
+// a malformed number exits 2 with the reason instead of running with a
+// substituted setting.
+inline std::uint64_t UnsignedOrDie(const char* what, std::string_view text) {
+  std::uint64_t value = 0;
+  if (!util::ParseUnsignedArg(what, text, &value)) std::exit(2);
+  return value;
+}
+
+// "a,b,c": UnsignedOrDie on every element (an empty one is malformed).
+inline std::vector<std::size_t> UnsignedListOrDie(const char* what,
+                                                  std::string_view text) {
+  std::vector<std::size_t> values;
+  for (std::size_t comma = 0;; text.remove_prefix(comma + 1)) {
+    comma = text.find(',');
+    values.push_back(UnsignedOrDie(what, text.substr(0, comma)));
+    if (comma == std::string_view::npos) return values;
+  }
+}
+
 inline void ParseBenchFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
-      IoThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 13, nullptr, 10));
+      IoThreadsFlag() = UnsignedOrDie("--io-threads", argv[i] + 13);
     } else if (std::strncmp(argv[i], "--scratch-dirs=", 15) == 0) {
       ScratchDirsFlag() = util::SplitCommaList(argv[i] + 15);
     } else if (std::strncmp(argv[i], "--device-model=", 15) == 0) {
@@ -181,8 +202,7 @@ inline void ParseBenchFlags(int argc, char** argv) {
   }
   if (const char* env = std::getenv("EXTSCC_BENCH_IO_THREADS")) {
     if (env[0] != '\0') {
-      IoThreadsFlag() =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+      IoThreadsFlag() = UnsignedOrDie("EXTSCC_BENCH_IO_THREADS", env);
     }
   }
   if (const char* env = std::getenv("EXTSCC_BENCH_SCRATCH_DIRS")) {

@@ -12,7 +12,6 @@
 // fastest but need c*|V| of memory — they are shown with that relaxed
 // budget for reference.
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "scc/scc_verify.h"
 #include "scc/semi_external_scc.h"
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/timer.h"
 
 namespace {
@@ -57,12 +57,16 @@ graph::DiskGraph MakeGraph(io::IoContext* ctx, std::uint64_t nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t num_nodes =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20'000;
-  const std::uint64_t num_edges =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 80'000;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  std::uint64_t num_nodes = 20'000;
+  std::uint64_t num_edges = 80'000;
+  std::uint64_t seed = 42;
+  if ((argc > 1 &&
+       !util::ParseUnsignedArg("num_nodes", argv[1], &num_nodes)) ||
+      (argc > 2 &&
+       !util::ParseUnsignedArg("num_edges", argv[2], &num_edges)) ||
+      (argc > 3 && !util::ParseUnsignedArg("seed", argv[3], &seed))) {
+    return 2;
+  }
 
   // The squeezed machine: an eighth of the node set fits.
   io::IoContextOptions machine;

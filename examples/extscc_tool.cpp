@@ -69,7 +69,6 @@
 // reads them through graph::TextEdgeReader); label files are "node scc"
 // per line.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -77,9 +76,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -107,6 +108,7 @@
 #include "serve/query_engine.h"
 #include "serve/service.h"
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/status.h"
 
 namespace {
@@ -203,31 +205,13 @@ io::DeviceModelSpec g_device_model;
 io::PlacementPolicy g_placement = io::PlacementPolicy::kRoundRobin;
 bool g_checksum_blocks = false;
 
-// Parses `text` as a whole unsigned decimal number: digits only, no
-// sign, no surrounding space, no trailing garbage, no overflow. On
-// failure prints why (naming `what`) and returns false; every numeric
-// flag and argument of the tool goes through here.
-bool ParseUnsigned(const char* what, const std::string& text,
-                   std::uint64_t* value) {
-  const char* end = text.data() + text.size();
-  std::uint64_t parsed = 0;
-  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
-  if (error == std::errc() && stop == end) {
-    *value = parsed;
-    return true;
-  }
-  std::fprintf(stderr, "%s: '%s' is not an unsigned decimal number\n", what,
-               text.c_str());
-  return false;
-}
-
 // Reads an optional memory_bytes argument (`text` == nullptr: absent,
 // keep the default already in *memory_bytes). A non-number, or a value
 // below M = 2B, is a usage error rather than a value to raise silently:
 // prints why and returns false.
 bool MemoryArgument(const char* text, std::uint64_t* memory_bytes) {
   if (text != nullptr &&
-      !ParseUnsigned("memory_bytes", text, memory_bytes)) {
+      !util::ParseUnsignedArg("memory_bytes", text, memory_bytes)) {
     return false;
   }
   if (*memory_bytes >= kMinMemoryBytes) return true;
@@ -315,17 +299,20 @@ CommandArgs SplitCommandArgs(int argc, char** argv) {
   return out;
 }
 
-// True when `flag` is `name=N` with N a whole unsigned number (stored
-// in *value). A matching flag with a malformed N prints why and returns
-// false, so the caller's unknown-flag branch turns it into exit 2.
+// True when `flag` is `name=N` with N a whole unsigned number no
+// greater than `max` (stored in *value). A matching flag with a
+// malformed or out-of-range N prints why and returns false, so the
+// caller's unknown-flag branch turns it into exit 2.
 bool FlagValue(const std::string& flag, const char* name,
-               std::uint64_t* value) {
+               std::uint64_t* value,
+               std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const std::size_t len = std::strlen(name);
   if (flag.compare(0, len, name) != 0 || flag.size() <= len ||
       flag[len] != '=') {
     return false;
   }
-  return ParseUnsigned(name, flag.substr(len + 1), value);
+  return util::ParseUnsignedArg(name, std::string_view(flag).substr(len + 1),
+                                value, max);
 }
 
 bool FlagStringValue(const std::string& flag, const char* name,
@@ -343,10 +330,10 @@ int CmdGenerate(int argc, char** argv) {
   if (argc < 5) return Usage();
   const std::string kind = argv[2];
   std::uint64_t n = 0;
-  if (!ParseUnsigned("num_nodes", argv[3], &n)) return 2;
+  if (!util::ParseUnsignedArg("num_nodes", argv[3], &n)) return 2;
   const std::string out_path = argv[4];
   std::uint64_t seed = 1;
-  if (argc > 5 && !ParseUnsigned("seed", argv[5], &seed)) return 2;
+  if (argc > 5 && !util::ParseUnsignedArg("seed", argv[5], &seed)) return 2;
   auto context = MakeContext(64 << 20);
 
   graph::DiskGraph g;
@@ -547,7 +534,8 @@ int CmdBuildIndex(int argc, char** argv) {
   serve::BuildArtifactOptions options;
   for (const std::string& flag : args.flags) {
     std::uint64_t value = 0;
-    if (FlagValue(flag, "--labels", &value)) {
+    if (FlagValue(flag, "--labels", &value,
+                  std::numeric_limits<std::uint32_t>::max())) {
       options.num_labels = static_cast<std::uint32_t>(value);
     } else if (FlagValue(flag, "--seed", &value)) {
       options.label_seed = value;
@@ -1117,7 +1105,9 @@ int main(int argc, char** argv) {
       g_checksum_blocks = true;
     } else if (std::strncmp(argv[first], "--io-threads=", 13) == 0) {
       std::uint64_t value = 0;
-      if (!ParseUnsigned("--io-threads", argv[first] + 13, &value)) return 2;
+      if (!util::ParseUnsignedArg("--io-threads", argv[first] + 13, &value)) {
+        return 2;
+      }
       g_io_threads = static_cast<std::size_t>(value);
     } else if (std::strncmp(argv[first], "--scratch-dirs=", 15) == 0) {
       g_scratch_dirs = util::SplitCommaList(argv[first] + 15);

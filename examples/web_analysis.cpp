@@ -5,31 +5,46 @@
 //   2. bow-tie decomposition around the giant SCC   (Broder et al.)
 //   3. condensation + external topological sort     (motivation 1)
 //   4. external bisimulation on the condensation    (motivation 1, [16])
-//   5. GRAIL-style reachability index + sample queries (motivation 2, [25])
+//   5. GRAIL-style reachability index (the serve artifact) + sample
+//      queries                                      (motivation 2, [25])
 //
 //   $ ./web_analysis [num_nodes] [seed]
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <vector>
 
 #include "app/bisimulation.h"
 #include "app/bowtie.h"
-#include "app/reachability_index.h"
 #include "core/ext_scc.h"
 #include "gen/webgraph_generator.h"
 #include "io/record_stream.h"
 #include "scc/condensation.h"
 #include "scc/semi_external_scc.h"
+#include "serve/artifact.h"
+#include "serve/index_builder.h"
+#include "serve/query_engine.h"
+#include "serve/service.h"
+#include "util/parse.h"
 #include "util/random.h"
 
 namespace {
 using namespace extscc;
+
+// Reports a failed pipeline step; main returns its result.
+int Fail(const char* step, const util::Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", step, status.ToString().c_str());
+  return 1;
+}
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t num_nodes =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20'000;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2007;
+  std::uint64_t num_nodes = 20'000;
+  std::uint64_t seed = 2007;
+  if ((argc > 1 &&
+       !util::ParseUnsignedArg("num_nodes", argv[1], &num_nodes)) ||
+      (argc > 2 && !util::ParseUnsignedArg("seed", argv[2], &seed))) {
+    return 2;
+  }
 
   io::IoContextOptions machine;
   machine.block_size = 16 * 1024;
@@ -49,11 +64,7 @@ int main(int argc, char** argv) {
   const std::string scc_path = context.NewTempPath("scc");
   auto scc_result = core::RunExtScc(&context, g, scc_path,
                                     core::ExtSccOptions::Optimized());
-  if (!scc_result.ok()) {
-    std::fprintf(stderr, "Ext-SCC failed: %s\n",
-                 scc_result.status().ToString().c_str());
-    return 1;
-  }
+  if (!scc_result.ok()) return Fail("Ext-SCC", scc_result.status());
   std::printf("[1] Ext-SCC-Op: %llu SCCs in %u contraction levels "
               "(%llu I/Os)\n",
               static_cast<unsigned long long>(scc_result.value().num_sccs),
@@ -63,11 +74,7 @@ int main(int argc, char** argv) {
 
   // ---- 2. bow-tie --------------------------------------------------------
   auto bowtie = app::BowtieDecompose(&context, g, scc_path);
-  if (!bowtie.ok()) {
-    std::fprintf(stderr, "bow-tie failed: %s\n",
-                 bowtie.status().ToString().c_str());
-    return 1;
-  }
+  if (!bowtie.ok()) return Fail("bow-tie", bowtie.status());
   const auto& bt = bowtie.value();
   std::printf("[2] bow-tie: CORE %llu (SCC #%u), IN %llu, OUT %llu, "
               "OTHER %llu\n",
@@ -79,22 +86,14 @@ int main(int argc, char** argv) {
   // ---- 3. condensation + topological sort --------------------------------
   const auto condensation = scc::BuildCondensation(&context, g, scc_path);
   auto topo = scc::ExternalTopoSort(&context, condensation.dag);
-  if (!topo.ok()) {
-    std::fprintf(stderr, "topo sort failed: %s\n",
-                 topo.status().ToString().c_str());
-    return 1;
-  }
+  if (!topo.ok()) return Fail("topo sort", topo.status());
   std::printf("[3] condensation: %s; topological levels: %llu\n",
               condensation.dag.Describe().c_str(),
               static_cast<unsigned long long>(topo.value().num_levels));
 
   // ---- 4. bisimulation on the DAG ----------------------------------------
   auto bisim = app::ExternalBisimulation(&context, condensation.dag);
-  if (!bisim.ok()) {
-    std::fprintf(stderr, "bisimulation failed: %s\n",
-                 bisim.status().ToString().c_str());
-    return 1;
-  }
+  if (!bisim.ok()) return Fail("bisimulation", bisim.status());
   std::printf("[4] bisimulation: %llu blocks over %llu DAG nodes "
               "(%.1f%% compression, %llu height levels)\n",
               static_cast<unsigned long long>(bisim.value().num_blocks),
@@ -105,29 +104,36 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bisim.value().num_heights));
 
   // ---- 5. reachability index + sample queries ----------------------------
-  auto index = app::ReachabilityIndex::Build(&context, g, scc_path, {});
-  if (!index.ok()) {
-    std::fprintf(stderr, "reachability index failed: %s\n",
-                 index.status().ToString().c_str());
-    return 1;
-  }
+  // The serve artifact over the labels from step 1: condensation plus
+  // GRAIL-style interval labels, answering one batch of random pairs.
+  const std::string artifact_path = context.NewTempPath("reach_index");
+  auto built = serve::BuildArtifactFromLabels(
+      &context, g, scc_path, scc_result.value().num_sccs, artifact_path, {});
+  if (!built.ok()) return Fail("reachability index", built.status());
+  auto index = serve::ArtifactReader::Open(&context, artifact_path);
+  if (!index.ok()) return Fail("reachability index open", index.status());
   const auto nodes = io::ReadAllRecords<graph::NodeId>(&context, g.node_path);
   util::Rng rng(seed + 1);
-  std::uint64_t reachable = 0;
-  const std::uint64_t kQueries = 2000;
-  for (std::uint64_t q = 0; q < kQueries; ++q) {
-    const auto u = nodes[rng.Uniform(nodes.size())];
-    const auto v = nodes[rng.Uniform(nodes.size())];
-    if (index.value().Reachable(u, v)) ++reachable;
+  std::vector<serve::Query> queries(2000);
+  for (serve::Query& q : queries) {
+    q = {serve::QueryType::kReachable, nodes[rng.Uniform(nodes.size())],
+         nodes[rng.Uniform(nodes.size())]};
   }
-  const auto& qs = index.value().stats();
+  std::vector<serve::QueryAnswer> answers;
+  serve::QueryBatchStats qs;
+  const util::Status ran =
+      serve::RunQueries(&context, serve::QueryEngine(&index.value()), queries,
+                        1, &answers, &qs);
+  if (!ran.ok()) return Fail("reachability queries", ran);
+  std::uint64_t reachable = 0;
+  for (const serve::QueryAnswer& a : answers) reachable += a.result;
   std::printf("[5] reachability: %llu/%llu random pairs reachable "
               "(same-SCC %llu, interval-refuted %llu, DFS fallback %llu)\n",
               static_cast<unsigned long long>(reachable),
-              static_cast<unsigned long long>(kQueries),
-              static_cast<unsigned long long>(qs.same_scc_hits),
-              static_cast<unsigned long long>(qs.interval_refutations),
-              static_cast<unsigned long long>(qs.dfs_fallbacks));
+              static_cast<unsigned long long>(queries.size()),
+              static_cast<unsigned long long>(qs.labels.same_scc_hits),
+              static_cast<unsigned long long>(qs.labels.interval_refutations),
+              static_cast<unsigned long long>(qs.labels.dfs_fallbacks));
 
   std::puts("\npipeline complete — one external SCC computation fed four "
             "downstream analyses");

@@ -7,7 +7,6 @@
 //   $ ./webgraph_condensation [num_nodes] [seed]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "app/scc_stats.h"
 #include "core/ext_scc.h"
@@ -15,16 +14,20 @@
 #include "graph/disk_graph.h"
 #include "scc/condensation.h"
 #include "scc/semi_external_scc.h"
+#include "util/parse.h"
 
 namespace {
 using namespace extscc;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t num_nodes =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 50'000;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  std::uint64_t num_nodes = 50'000;
+  std::uint64_t seed = 7;
+  if ((argc > 1 &&
+       !util::ParseUnsignedArg("num_nodes", argv[1], &num_nodes)) ||
+      (argc > 2 && !util::ParseUnsignedArg("seed", argv[2], &seed))) {
+    return 2;
+  }
 
   io::IoContextOptions machine;
   machine.block_size = 64 * 1024;

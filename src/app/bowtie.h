@@ -62,8 +62,9 @@ util::Result<BowtieResult> BowtieDecompose(io::IoContext* context,
 // `dag` (excluding it), OUT the total it reaches, OTHER the rest. A
 // node reaches the core iff its SCC does, so this matches
 // BowtieDecompose's sizes exactly — at two in-memory BFS traversals
-// instead of multi-pass edge scans. The incremental updater's path:
-// its resident state is exactly the DAG plus per-SCC sizes.
+// instead of multi-pass edge scans. The serve artifact's path (build
+// and incremental update alike): its resident state is exactly the DAG
+// plus per-SCC sizes.
 // `core_index` is the dense index of the core SCC in `dag`, and
 // `scc_sizes[i]` the size of the SCC at dense index i.
 struct DagBowtieSizes {

@@ -6,16 +6,14 @@
 #include <utility>
 #include <vector>
 
-#include "app/bowtie.h"
-#include "app/interval_labels.h"
 #include "dyn/delta_log.h"
 #include "extsort/external_sorter.h"
 #include "extsort/record_sink.h"
 #include "extsort/record_traits.h"
 #include "graph/digraph.h"
-#include "io/durability.h"
 #include "scc/tarjan.h"
 #include "serve/artifact_format.h"
+#include "serve/index_builder.h"
 #include "serve/query_engine.h"
 #include "util/logging.h"
 
@@ -28,7 +26,6 @@ using graph::NodeId;
 using graph::SccEntry;
 using graph::SccId;
 using serve::ArtifactSummary;
-using serve::SectionId;
 
 }  // namespace
 
@@ -193,186 +190,103 @@ util::Result<UpdateBatchStats> DynamicSccIndex::ApplyBatch(
     }
   }
 
-  // 6. Rewrite every artifact section from the merged condensation,
-  // into "<path>.tmp" with a bumped data version. Canonical labels are
-  // assigned by first occurrence in node order during the single
-  // merge-scan of the old map + sorted new nodes — exactly what
-  // build-index writes for the union graph, byte for byte.
+  // 6. Rewrite the artifact from the merged condensation with a bumped
+  // data version. Canonical labels are assigned by first occurrence in
+  // node order during the single merge-scan of the old map + sorted new
+  // nodes — exactly what build-index writes for the union graph; the
+  // shared writer derives every other section from the condensation.
   const std::uint64_t new_version = reader_->data_version() + 1;
-  const std::string tmp_path = path_ + ".tmp";
   const ArtifactSummary& old_summary = reader_->summary();
-  std::vector<SccId> canon(num_comps, graph::kInvalidScc);
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(num_comps);
+  ArtifactSummary summary{};
+  summary.graph_nodes = old_summary.graph_nodes + new_nodes.size();
+  // Raw (pre-dedup) union edge count: the folded delta log plus this
+  // batch, matching DiskGraph::num_edges of the union edge file.
+  summary.graph_edges =
+      old_summary.graph_edges + delta_edges_.size() + batch.size();
+  summary.num_label_rounds = old_summary.num_label_rounds;
+  summary.label_seed = old_summary.label_seed;
+  summary.bowtie_computed = old_summary.bowtie_computed;
 
-  const util::Status written = [&]() -> util::Status {
-    serve::ArtifactWriter writer(context_, tmp_path, new_version);
-    RETURN_IF_ERROR(writer.status());
+  const auto write_map = [&](serve::ArtifactWriter::SectionSink<SccEntry>*
+                                 sink)
+      -> util::Result<serve::ArtifactCondensation> {
+    serve::ArtifactCondensation condensed;
+    std::vector<SccId> canon(num_comps, graph::kInvalidScc);
     SccId next_canon = 0;
-    {
-      auto sink = writer.BeginSection<SccEntry>(SectionId::kNodeSccMap);
-      serve::SccMapScanner scanner = reader_->OpenNodeSccScan();
-      SccEntry cur{};
-      bool have = scanner.Next(&cur);
-      std::size_t new_at = 0;
-      while (have || new_at < new_nodes.size()) {
-        SccEntry entry;
-        if (have &&
-            (new_at == new_nodes.size() || cur.node < new_nodes[new_at])) {
-          entry = cur;
-          have = scanner.Next(&cur);
-        } else {
-          entry = SccEntry{new_nodes[new_at],
-                           static_cast<SccId>(old_sccs + new_at)};
-          ++new_at;
-        }
-        const SccId c = comp[entry.scc];
-        SccId& mapped = canon[c];
-        if (mapped == graph::kInvalidScc) {
-          mapped = next_canon++;
-          sizes.push_back(0);
-        }
-        ++sizes[mapped];
-        sink.Append(SccEntry{entry.node, mapped});
+    serve::SccMapScanner scanner = reader_->OpenNodeSccScan();
+    SccEntry cur{};
+    bool have = scanner.Next(&cur);
+    std::size_t new_at = 0;
+    while (have || new_at < new_nodes.size()) {
+      SccEntry entry;
+      if (have &&
+          (new_at == new_nodes.size() || cur.node < new_nodes[new_at])) {
+        entry = cur;
+        have = scanner.Next(&cur);
+      } else {
+        entry = SccEntry{new_nodes[new_at],
+                         static_cast<SccId>(old_sccs + new_at)};
+        ++new_at;
       }
-      RETURN_IF_ERROR(scanner.status());
-      writer.EndSection();
+      SccId& mapped = canon[comp[entry.scc]];
+      if (mapped == graph::kInvalidScc) {
+        mapped = next_canon++;
+        condensed.scc_sizes.push_back(0);
+      }
+      ++condensed.scc_sizes[mapped];
+      sink->Append(SccEntry{entry.node, mapped});
     }
+    RETURN_IF_ERROR(scanner.status());
     // Every component holds at least one node, so the scan assigned
     // every canonical label.
     CHECK_EQ(next_canon, num_comps);
 
-    // Condensation edges over canonical labels: sorted by packed
-    // (src, dst), loops dropped, dedupped — BuildCondensation's exact
-    // byte layout.
-    std::vector<std::uint64_t> edge_keys;
-    edge_keys.reserve(h_edges.size());
+    // Condensation edges over canonical labels: sorted by (src, dst),
+    // loops dropped, dedupped — BuildCondensation's layout.
+    std::vector<Edge>& dag_edges = condensed.dag_edges;
     for (const Edge& e : h_edges) {
       const SccId a = canon[comp[e.src]];
       const SccId b = canon[comp[e.dst]];
-      if (a != b) edge_keys.push_back(extsort::PackKey64(a, b));
+      if (a != b) dag_edges.push_back(Edge{a, b});
     }
-    std::sort(edge_keys.begin(), edge_keys.end());
-    edge_keys.erase(std::unique(edge_keys.begin(), edge_keys.end()),
-                    edge_keys.end());
-    std::vector<Edge> dag_edges;
-    dag_edges.reserve(edge_keys.size());
-    for (const std::uint64_t key : edge_keys) {
-      dag_edges.push_back(Edge{static_cast<NodeId>(key >> 32),
-                               static_cast<NodeId>(key & 0xffffffffu)});
-    }
-    std::vector<NodeId> dag_nodes(num_comps);
-    std::iota(dag_nodes.begin(), dag_nodes.end(), 0);
-
-    const app::IntervalLabels labels = app::IntervalLabels::Build(
-        graph::Digraph(dag_nodes, dag_edges), old_summary.num_label_rounds,
-        old_summary.label_seed);
-    const std::size_t dag_n = labels.dag().num_nodes();
-
-    ArtifactSummary summary{};
-    summary.graph_nodes = old_summary.graph_nodes + new_nodes.size();
-    // Raw (pre-dedup) union edge count: the folded delta log plus this
-    // batch, matching DiskGraph::num_edges of the union edge file.
-    summary.graph_edges =
-        old_summary.graph_edges + delta_edges_.size() + batch.size();
-    summary.num_sccs = num_comps;
-    summary.dag_nodes = num_comps;
-    summary.dag_edges = dag_edges.size();
-    summary.num_label_rounds = old_summary.num_label_rounds;
-    summary.label_seed = old_summary.label_seed;
-    summary.largest_scc = graph::kInvalidScc;
-    summary.core_scc = graph::kInvalidScc;
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-      if (sizes[s] > summary.largest_scc_size) {
-        summary.largest_scc_size = sizes[s];
-        summary.largest_scc = static_cast<SccId>(s);
-      }
-      if (sizes[s] == 1) ++summary.num_singletons;
-    }
-    if (old_summary.bowtie_computed != 0) {
-      const app::DagBowtieSizes bowtie = app::BowtieSizesFromDag(
-          labels.dag(), sizes, summary.largest_scc);
-      summary.bowtie_computed = 1;
-      summary.core_scc = summary.largest_scc;
-      summary.core_size = bowtie.core_size;
-      summary.in_size = bowtie.in_size;
-      summary.out_size = bowtie.out_size;
-      summary.other_size = bowtie.other_size;
-    }
-
-    {
-      auto sink = writer.BeginSection<NodeId>(SectionId::kDagNodes);
-      sink.AppendBatch(dag_nodes.data(), dag_nodes.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<Edge>(SectionId::kDagEdges);
-      sink.AppendBatch(dag_edges.data(), dag_edges.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint32_t>(SectionId::kLabelRanks);
-      for (std::uint32_t r = 0; r < summary.num_label_rounds; ++r) {
-        sink.AppendBatch(labels.ranks(r).data(), dag_n);
-      }
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint32_t>(SectionId::kLabelMins);
-      for (std::uint32_t r = 0; r < summary.num_label_rounds; ++r) {
-        sink.AppendBatch(labels.mins(r).data(), dag_n);
-      }
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<std::uint64_t>(SectionId::kSccSizes);
-      sink.AppendBatch(sizes.data(), sizes.size());
-      writer.EndSection();
-    }
-    {
-      auto sink = writer.BeginSection<ArtifactSummary>(SectionId::kSummary);
-      sink.Append(summary);
-      writer.EndSection();
-    }
-    return writer.Finish();
-  }();
+    std::sort(dag_edges.begin(), dag_edges.end(), graph::EdgeBySrc{});
+    dag_edges.erase(std::unique(dag_edges.begin(), dag_edges.end()),
+                    dag_edges.end());
+    return condensed;
+  };
 
   // 7. Validate the candidate end to end BEFORE it can become the live
   // version: a full reader open (resident sections, CRCs, geometry,
   // cross-section consistency) plus a sweep of the one section Open
   // does not touch. A version is only ever published after it proved
   // readable — a faulted write can cost this batch, never the index.
-  util::Status publishable = written;
-  if (publishable.ok()) {
+  std::optional<serve::ArtifactReader> candidate;
+  const auto validate = [&](const std::string& tmp_path) -> util::Status {
     auto check = serve::ArtifactReader::Open(context_, tmp_path);
-    publishable = check.status();
-    if (publishable.ok()) {
+    RETURN_IF_ERROR(check.status());
+    {
       serve::SccMapScanner scan = check.value().OpenNodeSccScan();
       SccEntry entry;
       while (scan.Next(&entry)) {
       }
-      publishable = scan.status();
+      RETURN_IF_ERROR(scan.status());
     }
-  }
-  io::StorageDevice* device = context_->ResolveDevice(path_);
-  if (publishable.ok()) {
-    // Durable publish: Finish() already fsynced the candidate's bytes;
-    // the rename + parent-directory fsync make the swap itself survive
-    // power loss (both halves are crash-point sites).
-    publishable = io::DurableRename(context_, tmp_path, path_);
-  }
-  if (!publishable.ok()) {
-    (void)device->Delete(tmp_path);
-    return publishable;
-  }
+    candidate.emplace(std::move(check).value());
+    return util::Status::Ok();
+  };
+  RETURN_IF_ERROR(
+      serve::PublishArtifact(context_, path_, new_version, summary,
+                             write_map, validate)
+          .status());
 
-  // 8. Published. The delta log's edges are folded into the new
-  // version; drop it (stale-by-version even if the delete fails) and
-  // serve from the fresh artifact.
+  // 8. Published. The validated candidate is the live version now: serve
+  // from it at the artifact path. Nothing after the rename may fail, or
+  // a published version would be reported as a failed batch. The delta
+  // log's edges are folded in; drop it (stale-by-version even if the
+  // delete fails).
   RemoveDeltaLog(context_, DeltaLogPathFor(path_));
-  auto reopened = serve::ArtifactReader::Open(context_, path_);
-  RETURN_IF_ERROR(reopened.status());
-  reader_.emplace(std::move(reopened).value());
+  candidate->Rebind(path_);
+  reader_ = std::move(candidate);
   delta_edges_.clear();
 
   stats.rewrote_artifact = true;

@@ -18,19 +18,21 @@
 //      it on open): Tarjan over old-DAG ∪ new edges finds the merged
 //      components, a single merge-scan of the old map (+ sorted new
 //      nodes) rewrites the node→SCC map with canonical
-//      first-occurrence labels, and every derived section (DAG,
-//      interval labels, sizes, summary, bow-tie) is recomputed from
-//      the new condensation;
-//   5. publish: the new artifact is written to "<path>.tmp" with a
-//      bumped data version and fresh CRCs, validated by a full
+//      first-occurrence labels, and build-index's own writer
+//      (serve::PublishArtifact) recomputes every derived section (DAG,
+//      interval labels, sizes, summary, bow-tie) from the new
+//      condensation;
+//   5. publish: that writer puts the new artifact at "<path>.tmp" with
+//      a bumped data version and fresh CRCs; it is validated by a full
 //      reader open + map sweep, then swapped in with one atomic
 //      StorageDevice::Rename — a crash or fault at ANY point leaves
 //      the old version live, never a torn artifact.
 //
 // Because build-index writes canonical labels (core/canonical_labels.h)
-// and every derived section is a deterministic function of the graph,
-// the artifact after a rewrite is BYTE-IDENTICAL to build-index over
-// the union graph — the oracle the tests pin.
+// and both paths derive every other section through the same writer
+// from the same condensation, the artifact after a rewrite is
+// BYTE-IDENTICAL to build-index over the union graph — the oracle the
+// tests pin.
 //
 // Cost per batch (b edges, map of m blocks): the translate sweep is
 // <= m sequential block reads; a delta-log-only batch adds O(b/B)

@@ -283,7 +283,10 @@ util::Result<std::vector<T>> ReadSectionRecords(
   std::vector<unsigned char> bytes;
   RETURN_IF_ERROR(ReadSectionBytes(file, entry, block_crcs, &bytes));
   std::vector<T> records(bytes.size() / sizeof(T));
-  std::memcpy(records.data(), bytes.data(), records.size() * sizeof(T));
+  // An empty section (a one-SCC graph's DAG edges) has null data().
+  if (!records.empty()) {
+    std::memcpy(records.data(), bytes.data(), records.size() * sizeof(T));
+  }
   return records;
 }
 

@@ -2,8 +2,8 @@
 //
 // ArtifactWriter streams records section by section through sinks that
 // satisfy extsort::RecordSinkFor<T> — so solver output flows in via the
-// same sink plumbing as every other stage (SinkAppendAllRecords from
-// the solver's label file, SortingWriter::FinishInto, ...). All I/O
+// same sink plumbing as every other stage (the canonical label file,
+// SortingWriter::FinishInto, ...). All I/O
 // goes through BlockFile on whatever StorageDevice the path resolves
 // to, so artifact traffic is counted per device like everything else.
 //
@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/interval_labels.h"
@@ -174,6 +175,11 @@ class ArtifactReader {
   SccMapScanner OpenNodeSccScan() const;
 
   const std::string& path() const { return path_; }
+
+  // Re-points the reader at `path` after a rename moved its file there:
+  // the dynamic updater adopts its validated candidate once published
+  // instead of opening the same bytes a second time.
+  void Rebind(std::string path) { path_ = std::move(path); }
 
  private:
   ArtifactReader() = default;

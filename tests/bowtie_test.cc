@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
 #include "io/record_stream.h"
+#include "scc/condensation.h"
 #include "test_util.h"
 
 namespace extscc {
@@ -190,6 +193,73 @@ TEST_P(BowtieSweep, MatchesBfsOracle) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, BowtieSweep,
                          ::testing::Combine(::testing::Values(80, 200, 500),
                                             ::testing::Values(1, 2, 3, 4)));
+
+// Cross-check of the two bow-tie paths: region sizes read off the
+// condensation DAG (BowtieSizesFromDag — what the serve artifact stores)
+// must equal the external per-node decomposition, core choice included.
+// Path, DAG and isolated-node graphs are all singletons, so the largest
+// SCC is a tie: both paths must pick the smallest label.
+graph::DiskGraph CrossCheckGraph(io::IoContext* ctx, const std::string& kind,
+                                 std::uint32_t seed) {
+  if (kind == "web") {
+    gen::WebGraphParams params;
+    params.num_nodes = 3000;
+    params.seed = seed;
+    return gen::GenerateWebGraph(ctx, params);
+  }
+  if (kind == "isolated") {
+    return graph::MakeDiskGraph(ctx, {}, {seed, seed + 4, seed + 9});
+  }
+  return graph::MakeDiskGraph(
+      ctx, kind == "random" ? gen::RandomDigraphEdges(120, 150 * seed, seed)
+           : kind == "dag"  ? gen::RandomDagEdges(60, 40 * seed, seed)
+           : kind == "path" ? gen::PathEdges(10 * seed)
+                            : gen::CycleEdges(10 * seed));
+}
+
+class BowtieFromDagTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t>> {
+};
+
+TEST_P(BowtieFromDagTest, MatchesBowtieDecompose) {
+  const auto& [kind, seed] = GetParam();
+  auto ctx = MakeTestContext(/*memory_bytes=*/8 << 20);
+  const graph::DiskGraph g = CrossCheckGraph(ctx.get(), kind, seed);
+  const std::string scc_path = ctx->NewTempPath("scc");
+  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
+                              core::ExtSccOptions::Optimized())
+                  .ok());
+  auto reference = BowtieDecompose(ctx.get(), g, scc_path);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  // The resident condensation: the DAG over the labels, each label's
+  // size, and the first of the largest as the core.
+  const auto condensation = scc::BuildCondensation(ctx.get(), g, scc_path);
+  const graph::Digraph dag(
+      io::ReadAllRecords<NodeId>(ctx.get(), condensation.dag.node_path),
+      io::ReadAllRecords<Edge>(ctx.get(), condensation.dag.edge_path));
+  std::vector<std::uint64_t> sizes(dag.num_nodes(), 0);
+  for (const graph::SccEntry& entry :
+       io::ReadAllRecords<graph::SccEntry>(ctx.get(), scc_path)) {
+    ++sizes[dag.index_of(entry.scc)];
+  }
+  const std::size_t core = static_cast<std::size_t>(
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  const app::DagBowtieSizes from_dag =
+      app::BowtieSizesFromDag(dag, sizes, core);
+
+  EXPECT_EQ(dag.id_of(core), reference.value().core_scc);
+  EXPECT_EQ(from_dag.core_size, reference.value().core_size);
+  EXPECT_EQ(from_dag.in_size, reference.value().in_size);
+  EXPECT_EQ(from_dag.out_size, reference.value().out_size);
+  EXPECT_EQ(from_dag.other_size, reference.value().other_size);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededGraphs, BowtieFromDagTest,
+    ::testing::Combine(::testing::Values("random", "web", "path", "cycle",
+                                         "dag", "isolated"),
+                       ::testing::Values(1u, 2u, 3u, 4u)));
 
 }  // namespace
 }  // namespace extscc

@@ -379,6 +379,8 @@ TEST_F(CrashHarness, MalformedArgumentsAreUsageErrors) {
       "solve " + g + " " + out + " 99999999999999999999",
       "condense " + g + " " + out + " 4m",
       "build-index --labels=x " + g + " " + out,
+      // Above UINT32_MAX: would truncate to 1 label round.
+      "build-index --labels=4294967297 " + g + " " + out,
       "generate web 2x00 " + out,
       "generate web 2000 " + out + " 7s",
   };

@@ -80,17 +80,6 @@ std::unique_ptr<io::IoContext> MakeDynContext(const MatrixConfig& config) {
   return std::make_unique<io::IoContext>(options);
 }
 
-// A user-facing artifact path on the base (posix) device — the device
-// whose Rename backs the publish protocol.
-std::string BaseArtifactPath(const std::string& tag) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / ("extscc_dyn_" + tag + ".art"))
-          .string();
-  fs::remove(path);
-  fs::remove(path + ".dlog");
-  return path;
-}
-
 std::vector<char> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -222,9 +211,9 @@ TEST(DynamicTest, IncrementalMatchesFullRebuildAcrossMatrix) {
     auto context = MakeDynContext(config);
     const std::vector<Edge> base = gen::RandomDigraphEdges(300, 1200, 42);
     const std::string inc_path =
-        BaseArtifactPath(std::string("inc_") + config.name);
+        testing::BaseArtifactPath(std::string("dyn_inc_") + config.name);
     const std::string rebuild_path =
-        BaseArtifactPath(std::string("re_") + config.name);
+        testing::BaseArtifactPath(std::string("dyn_re_") + config.name);
     {
       const auto g = graph::MakeDiskGraph(context.get(), base);
       auto built = serve::BuildArtifact(context.get(), g, inc_path, {});
@@ -336,7 +325,7 @@ TEST(DynamicTest, IncrementalMatchesFullRebuildAcrossMatrix) {
 TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
   auto context = MakeDynContext(kMatrix[0]);
   const std::vector<Edge> base = gen::RandomDigraphEdges(200, 800, 9);
-  const std::string path = BaseArtifactPath("reopen");
+  const std::string path = testing::BaseArtifactPath("dyn_reopen");
   {
     const auto g = graph::MakeDiskGraph(context.get(), base);
     ASSERT_TRUE(serve::BuildArtifact(context.get(), g, path, {}).ok());
@@ -386,7 +375,7 @@ TEST(DynamicTest, DeltaLogSurvivesReopenAndFoldsIntoNextRewrite) {
 
 TEST(DynamicTest, StaleDeltaLogReadsEmpty) {
   auto context = MakeDynContext(kMatrix[0]);
-  const std::string path = BaseArtifactPath("stale");
+  const std::string path = testing::BaseArtifactPath("dyn_stale");
   // A log claiming base version 7 against an artifact at version 0:
   // its edges are already folded in — honest empty, not an error.
   ASSERT_TRUE(dyn::WriteDeltaLog(context.get(), dyn::DeltaLogPathFor(path),

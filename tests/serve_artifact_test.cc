@@ -159,20 +159,53 @@ TEST(ServeArtifactTest, EmptyAndTinyGraphs) {
   {
     const auto g = graph::MakeDiskGraph(context.get(), {});
     auto built = serve::BuildArtifact(
-        context.get(), g, context->NewTempPath("empty_art"), {});
+        context.get(), g,
+        testing::ArtifactTestPath(context.get(), "serve_empty_art"), {});
     EXPECT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
   }
   // Two-node cycle: the smallest real artifact round-trips.
   {
     const auto g = graph::MakeDiskGraph(context.get(), gen::CycleEdges(2));
-    const std::string path = context->NewTempPath("tiny_art");
+    const std::string path =
+        testing::ArtifactTestPath(context.get(), "serve_tiny_art");
     auto built = serve::BuildArtifact(context.get(), g, path, {});
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     auto opened = ArtifactReader::Open(context.get(), path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ(opened.value().num_sccs(), 1u);
     EXPECT_EQ(opened.value().scc_size(0), 2u);
+  }
+}
+
+// A striped scratch file cannot take the "<path>.tmp" → rename publish,
+// so the build refuses such a destination up front: a typed error naming
+// the path, before the solve spends a single I/O, and no candidate left.
+TEST(ServeArtifactTest, StripedDestinationIsRejectedBeforeTheSolve) {
+  io::IoContextOptions options;
+  options.block_size = 4096;
+  options.memory_bytes = 2 << 20;
+  options.device_model.model = io::DeviceModel::kMem;
+  options.scratch_dirs = {"", ""};
+  options.scratch_placement = io::PlacementPolicy::kStriped;
+  io::IoContext context(options);
+  ASSERT_EQ(context.temp_files().effective_stripe_width(), 2u);
+
+  const auto g = graph::MakeDiskGraph(&context, gen::CycleEdges(64));
+  const std::string path = context.NewTempPath("striped_art");
+  const std::uint64_t ios_before = context.stats().total_ios();
+  auto built = serve::BuildArtifact(&context, g, path, {});
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find(path), std::string::npos)
+      << built.status().ToString();
+  EXPECT_EQ(context.stats().total_ios(), ios_before) << "no solve ran";
+  for (const std::string& left : {path, path + ".tmp"}) {
+    std::unique_ptr<io::StorageFile> file;
+    EXPECT_FALSE(context.ResolveDevice(left)
+                     ->Open(left, io::OpenMode::kRead, &file)
+                     .ok())
+        << left;
   }
 }
 

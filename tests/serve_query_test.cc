@@ -1,7 +1,9 @@
 // Batched query engine + service surface: 10k mixed queries against
-// the in-memory oracle, sweep-I/O sublinearity in batch count,
-// per-device accounting of artifact reads, concurrent readers identical
-// to serial, and the line protocol round trip.
+// the in-memory oracle, every reachability pair of small graphs against
+// BFS, the interval labels' refutations, the build's argument checks,
+// sweep-I/O sublinearity in batch count, per-device accounting of
+// artifact reads, concurrent readers identical to serial, and the line
+// protocol round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +12,17 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "core/ext_scc.h"
 #include "gen/classic_graphs.h"
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
 #include "graph/graph_types.h"
 #include "io/io_context.h"
+#include "io/record_stream.h"
+#include "scc/condensation.h"
 #include "serve/artifact.h"
 #include "serve/artifact_stage.h"
 #include "serve/index_builder.h"
@@ -47,41 +53,37 @@ struct ServeFixture {
   std::vector<Edge> edges;
   graph::Digraph digraph{std::vector<Edge>{}};  // reachability oracle
   scc::SccResult oracle{{}};                    // partition oracle
-  bool on_base_device = false;
 
+  ~ServeFixture() {
+    std::error_code ignored;
+    fs::remove(artifact_path, ignored);
+  }
   serve::QueryEngine engine() const { return serve::QueryEngine(&*reader); }
 };
 
-// Builds over a random digraph. `on_base_device` places the artifact
-// outside the scratch session roots, so its reads are accounted to the
-// context's default ("base") PosixDevice like any user-facing file.
-ServeFixture MakeFixture(std::uint32_t nodes, std::uint64_t num_edges,
-                         std::uint64_t seed, bool on_base_device = false) {
-  ServeFixture fx;
-  fx.context = MakeTestContext(4 << 20);
-  fx.edges = gen::RandomDigraphEdges(nodes, num_edges, seed);
-  fx.digraph = graph::Digraph(fx.edges);
-  fx.oracle = testing::Oracle(fx.edges);
-  const auto g = graph::MakeDiskGraph(fx.context.get(), fx.edges);
-  fx.on_base_device = on_base_device;
-  fx.artifact_path =
-      on_base_device
-          ? (fs::path(::testing::TempDir()) /
-             ("extscc_serve_art_" + std::to_string(seed) + ".bin"))
-                .string()
-          : fx.context->NewTempPath("artifact");
-  if (on_base_device) fs::remove(fx.artifact_path);
+// Builds over a random digraph; stops the test on a failed build or
+// open. `on_base_device` places the artifact outside the scratch session
+// roots, so its reads are accounted to the context's default ("base")
+// PosixDevice like any user-facing file; otherwise it sits wherever
+// testing::ArtifactTestPath puts it.
+void BuildFixture(ServeFixture* fx, std::uint32_t nodes,
+                  std::uint64_t num_edges, std::uint64_t seed,
+                  bool on_base_device = false) {
+  fx->context = MakeTestContext(4 << 20);
+  fx->edges = gen::RandomDigraphEdges(nodes, num_edges, seed);
+  fx->digraph = graph::Digraph(fx->edges);
+  fx->oracle = testing::Oracle(fx->edges);
+  const auto g = graph::MakeDiskGraph(fx->context.get(), fx->edges);
+  const std::string tag = "serve_query_" + std::to_string(seed);
+  fx->artifact_path = on_base_device
+                          ? testing::BaseArtifactPath(tag)
+                          : testing::ArtifactTestPath(fx->context.get(), tag);
   auto built =
-      serve::BuildArtifact(fx.context.get(), g, fx.artifact_path, {});
-  EXPECT_TRUE(built.ok()) << built.status().ToString();
-  auto opened = ArtifactReader::Open(fx.context.get(), fx.artifact_path);
-  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
-  fx.reader.emplace(std::move(opened).value());
-  return fx;
-}
-
-void CleanupFixture(const ServeFixture& fx) {
-  if (fx.on_base_device) fs::remove(fx.artifact_path);
+      serve::BuildArtifact(fx->context.get(), g, fx->artifact_path, {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto opened = ArtifactReader::Open(fx->context.get(), fx->artifact_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  fx->reader.emplace(std::move(opened).value());
 }
 
 // Mixed random queries, including ids past the node range (unknown).
@@ -146,7 +148,8 @@ void ExpectAnswersMatchOracle(const ServeFixture& fx,
 // ---- Correctness against the oracles ---------------------------------
 
 TEST(ServeQueryTest, TenThousandMixedQueriesMatchOracle) {
-  const ServeFixture fx = MakeFixture(1500, 6000, 7);
+  ServeFixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 1500, 6000, 7));
   const std::vector<Query> queries = RandomQueries(10000, 1500, 1234);
   std::vector<QueryAnswer> answers(queries.size());
   QueryBatchStats stats;
@@ -161,7 +164,8 @@ TEST(ServeQueryTest, TenThousandMixedQueriesMatchOracle) {
 }
 
 TEST(ServeQueryTest, EmptyBatchIsFree) {
-  const ServeFixture fx = MakeFixture(100, 300, 3);
+  ServeFixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 100, 300, 3));
   QueryBatchStats stats;
   ASSERT_TRUE(
       fx.engine().RunBatch(fx.context.get(), nullptr, 0, nullptr, &stats).ok());
@@ -172,7 +176,8 @@ TEST(ServeQueryTest, EmptyBatchIsFree) {
 // ---- Sublinearity ----------------------------------------------------
 
 TEST(ServeQueryTest, BatchSweepIoIsSublinearInBatchCount) {
-  const ServeFixture fx = MakeFixture(20000, 60000, 9);
+  ServeFixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 20000, 60000, 9));
   const auto& section = fx.reader->node_scc_section();
   const std::uint64_t section_blocks =
       (section.payload_bytes + fx.context->block_size() - 1) /
@@ -226,7 +231,9 @@ TEST(ServeQueryTest, BatchSweepIoIsSublinearInBatchCount) {
 // ---- Accounting ------------------------------------------------------
 
 TEST(ServeQueryTest, ArtifactReadsLandOnTheBaseDeviceRow) {
-  const ServeFixture fx = MakeFixture(8000, 24000, 13, /*base device*/ true);
+  ServeFixture fx;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFixture(&fx, 8000, 24000, 13, /*on_base_device=*/true));
   ASSERT_EQ(fx.context->ResolveDevice(fx.artifact_path)->name(), "base");
 
   const std::vector<Query> queries = RandomQueries(500, 8000, 21);
@@ -253,13 +260,14 @@ TEST(ServeQueryTest, ArtifactReadsLandOnTheBaseDeviceRow) {
     row_sum += (after[i].stats - before[i].stats).total_ios();
   }
   EXPECT_EQ(row_sum, (agg_after - agg_before).total_ios());
-  CleanupFixture(fx);
 }
 
 // ---- Concurrent readers ----------------------------------------------
 
 TEST(ServeQueryTest, ConcurrentReadersMatchSerialAndSumToAggregate) {
-  const ServeFixture fx = MakeFixture(4000, 16000, 17, /*base device*/ true);
+  ServeFixture fx;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFixture(&fx, 4000, 16000, 17, /*on_base_device=*/true));
   const std::vector<Query> queries = RandomQueries(4000, 4000, 55);
   const serve::QueryEngine engine = fx.engine();
 
@@ -301,7 +309,6 @@ TEST(ServeQueryTest, ConcurrentReadersMatchSerialAndSumToAggregate) {
   EXPECT_EQ(row_sum, (agg_after - agg_before).total_ios());
   EXPECT_GE((agg_after - agg_before).total_reads(),
             threaded_stats.swept_blocks);
-  CleanupFixture(fx);
 }
 
 // ---- Striped staging -------------------------------------------------
@@ -385,6 +392,109 @@ TEST(ServeQueryTest, StagedArtifactSweepStripesAcrossDevices) {
         << "query " << i;
   }
   fs::remove(artifact_path);
+}
+
+// ---- Reachability on small graphs, every pair ------------------------
+
+struct ReachCase {
+  std::string name;
+  std::vector<Edge> edges;
+  std::vector<NodeId> extra_nodes;
+  std::uint32_t num_labels = 3;
+  // A path condenses to a chain, where interval containment is exact:
+  // the labels refute every negative query without the DFS fallback.
+  bool chain = false;
+};
+
+class ServeReachTest : public ::testing::TestWithParam<ReachCase> {};
+
+// Every ordered node pair in one batch against BFS on the input graph;
+// the artifact's DAG sizes against BuildCondensation's.
+TEST_P(ServeReachTest, AllPairsMatchBfs) {
+  const ReachCase& c = GetParam();
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), c.edges, c.extra_nodes);
+  serve::BuildArtifactOptions options;
+  options.num_labels = c.num_labels;
+  const std::string path =
+      testing::ArtifactTestPath(context.get(), "serve_reach_" + c.name);
+  auto built = serve::BuildArtifact(context.get(), g, path, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto opened = ArtifactReader::Open(context.get(), path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  const std::string scc_path = context->NewTempPath("scc");
+  ASSERT_TRUE(core::RunExtScc(context.get(), g, scc_path,
+                              core::ExtSccOptions::Basic())
+                  .ok());
+  const auto condensation = scc::BuildCondensation(context.get(), g, scc_path);
+  EXPECT_EQ(built.value().summary.dag_nodes, condensation.dag.num_nodes);
+  EXPECT_EQ(built.value().summary.dag_edges, condensation.dag.num_edges);
+
+  const auto nodes = io::ReadAllRecords<NodeId>(context.get(), g.node_path);
+  const graph::Digraph oracle_graph(nodes, c.edges);
+  std::vector<Query> queries;
+  for (const NodeId u : nodes) {
+    for (const NodeId v : nodes) {
+      queries.push_back({QueryType::kReachable, u, v});
+    }
+  }
+  std::vector<QueryAnswer> answers(queries.size());
+  QueryBatchStats stats;
+  ASSERT_TRUE(serve::QueryEngine(&opened.value())
+                  .RunBatch(context.get(), queries.data(), queries.size(),
+                            answers.data(), &stats)
+                  .ok());
+  std::uint64_t negatives = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const bool want =
+        testing::OracleReach(oracle_graph, queries[i].u, queries[i].v);
+    ASSERT_TRUE(answers[i].known);
+    EXPECT_EQ(answers[i].result, want)
+        << queries[i].u << " -> " << queries[i].v;
+    negatives += want ? 0 : 1;
+  }
+  if (c.chain) EXPECT_EQ(stats.labels.interval_refutations, negatives);
+  std::error_code ignored;
+  fs::remove(path, ignored);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallGraphs, ServeReachTest,
+    ::testing::Values(
+        ReachCase{"Fig1", gen::Fig1Edges()},
+        ReachCase{"Chain", gen::PathEdges(64), {}, 3, /*chain=*/true},
+        ReachCase{"CycleReachesEverything", gen::CycleEdges(16)},
+        ReachCase{"IsolatedNodesReachOnlyThemselves", gen::PathEdges(4),
+                  {90, 91}},
+        ReachCase{"CycleChains", gen::CycleChainEdges(4, 4)},
+        ReachCase{"OneLabelRound", gen::RandomDigraphEdges(40, 100, 5), {},
+                  1}),
+    [](const ::testing::TestParamInfo<ReachCase>& info) {
+      return info.param.name;
+    });
+
+TEST(ServeQueryTest, BuildRejectsZeroLabelRoundsAndUncoveringLabels) {
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), gen::PathEdges(8));
+  const std::string path =
+      testing::ArtifactTestPath(context.get(), "serve_rejected");
+  serve::BuildArtifactOptions zero_rounds;
+  zero_rounds.num_labels = 0;
+  auto built = serve::BuildArtifact(context.get(), g, path, zero_rounds);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
+
+  // Labels solved for a smaller graph do not cover `g`.
+  const auto g_small = graph::MakeDiskGraph(context.get(), gen::PathEdges(3));
+  const std::string scc_path = context->NewTempPath("scc");
+  auto solved = core::RunExtScc(context.get(), g_small, scc_path,
+                                core::ExtSccOptions::Basic());
+  ASSERT_TRUE(solved.ok());
+  auto from_labels = serve::BuildArtifactFromLabels(
+      context.get(), g, scc_path, solved.value().num_sccs, path, {});
+  ASSERT_FALSE(from_labels.ok());
+  EXPECT_EQ(from_labels.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---- Line protocol ---------------------------------------------------

@@ -3,19 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 
 #include "graph/digraph.h"
 #include "scc/scc_verify.h"
 #include "scc/tarjan.h"
 #include "util/csv.h"
+#include "util/parse.h"
 
 namespace extscc::testing {
 
 void ApplyTestEnvOptions(io::IoContextOptions* options) {
   if (const char* env = std::getenv("EXTSCC_TEST_IO_THREADS")) {
     if (env[0] != '\0') {
-      options->io_threads =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+      std::uint64_t value = 0;
+      const util::Status parsed =
+          util::ParseUnsigned("EXTSCC_TEST_IO_THREADS", env, &value);
+      if (!parsed.ok()) {
+        ADD_FAILURE() << parsed.message();
+      } else {
+        options->io_threads = static_cast<std::size_t>(value);
+      }
     }
   }
   if (const char* env = std::getenv("EXTSCC_TEST_DEVICE_MODEL")) {
@@ -68,6 +76,21 @@ std::unique_ptr<io::IoContext> MakeMemTestContext(std::uint64_t memory_bytes,
                                                   std::size_t block_size) {
   return MakeContextWithModel(memory_bytes, block_size,
                               io::DeviceModel::kMem);
+}
+
+std::string BaseArtifactPath(const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "/extscc_" + tag + ".art";
+  for (const char* suffix : {"", ".tmp", ".dlog"}) {
+    std::filesystem::remove(path + suffix);
+  }
+  return path;
+}
+
+std::string ArtifactTestPath(io::IoContext* context, const std::string& tag) {
+  if (context->temp_files().effective_stripe_width() == 0) {
+    return context->NewTempPath(tag);
+  }
+  return BaseArtifactPath(tag);
 }
 
 scc::SccResult Oracle(const std::vector<graph::Edge>& edges,

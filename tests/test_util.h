@@ -3,6 +3,7 @@
 #define EXTSCC_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -44,6 +45,19 @@ std::unique_ptr<io::IoContext> MakeTestContext(
 // multidevice CI job drives these suites through its simulated disks.
 std::unique_ptr<io::IoContext> MakeMemTestContext(
     std::uint64_t memory_bytes = 1 << 20, std::size_t block_size = 4096);
+
+// A fresh user-facing serve artifact path on the base (posix) device —
+// the device whose Rename backs the durable publish:
+// TempDir()/extscc_<tag>.art, with the artifact, its .tmp candidate and
+// its .dlog delta log from any earlier run removed.
+std::string BaseArtifactPath(const std::string& tag);
+
+// Where a suite puts an artifact it only builds and reads: a scratch
+// path, so the device-model matrix (faults included) reaches artifact
+// I/O — except under striped placement, whose virtual files cannot take
+// the publish rename (BuildArtifact rejects them), where it is
+// BaseArtifactPath(tag).
+std::string ArtifactTestPath(io::IoContext* context, const std::string& tag);
 
 // In-memory oracle partition of an edge list (+ optional isolated nodes).
 scc::SccResult Oracle(const std::vector<graph::Edge>& edges,
