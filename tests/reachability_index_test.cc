@@ -1,7 +1,15 @@
-#include "app/reachability_index.h"
-
+// Reachability through the serve artifact, the repo's one reachability
+// index: every ordered pair of small graphs against BFS, sampled pairs
+// of random graphs, the interval labels' refutations and per-batch
+// counters, the artifact's DAG sizes against BuildCondensation, and the
+// build's argument checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <optional>
+#include <string>
+#include <system_error>
 #include <tuple>
 #include <vector>
 
@@ -9,190 +17,221 @@
 #include "gen/classic_graphs.h"
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
+#include "graph/graph_types.h"
+#include "io/io_context.h"
 #include "io/record_stream.h"
+#include "scc/condensation.h"
+#include "serve/artifact.h"
+#include "serve/index_builder.h"
+#include "serve/query_engine.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace extscc {
 namespace {
 
-using app::ReachabilityIndex;
-using app::ReachabilityIndexOptions;
+namespace fs = std::filesystem;
 using graph::Edge;
 using graph::NodeId;
+using serve::ArtifactReader;
+using serve::Query;
+using serve::QueryAnswer;
+using serve::QueryBatchStats;
+using serve::QueryType;
 using testing::MakeTestContext;
 
-using testing::OracleReach;  // shared BFS oracle (tests/test_util.h)
+// A built and opened artifact; removes the artifact file on destruction.
+struct BuiltIndex {
+  std::string path;
+  serve::ArtifactSummary summary;
+  std::optional<ArtifactReader> reader;
 
-// Builds the index via Ext-SCC labels and cross-checks every node pair
-// against the oracle.
-void BuildAndVerifyAllPairs(const std::vector<Edge>& edges,
-                            const std::vector<NodeId>& extra_nodes = {},
-                            std::uint32_t num_labels = 3) {
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), edges, extra_nodes);
-  const std::string scc_path = ctx->NewTempPath("scc");
-  auto scc = core::RunExtScc(ctx.get(), g, scc_path,
-                             core::ExtSccOptions::Optimized());
-  ASSERT_TRUE(scc.ok()) << scc.status().ToString();
+  ~BuiltIndex() {
+    std::error_code ignored;
+    if (!path.empty()) fs::remove(path, ignored);
+  }
+};
 
-  ReachabilityIndexOptions options;
+// Builds the artifact over `g`; stops the test on a failed build or open.
+void BuildIndex(io::IoContext* context, const graph::DiskGraph& g,
+                const std::string& tag, std::uint32_t num_labels,
+                BuiltIndex* index) {
+  serve::BuildArtifactOptions options;
   options.num_labels = num_labels;
-  auto built =
-      ReachabilityIndex::Build(ctx.get(), g, scc_path, options);
+  index->path = testing::ArtifactTestPath(context, "reach_" + tag);
+  auto built = serve::BuildArtifact(context, g, index->path, options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ReachabilityIndex& index = built.value();
+  index->summary = built.value().summary;
+  auto opened = ArtifactReader::Open(context, index->path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  index->reader.emplace(std::move(opened).value());
+}
 
-  const auto nodes = io::ReadAllRecords<NodeId>(ctx.get(), g.node_path);
-  graph::Digraph oracle_graph(nodes, edges);
+// Runs `queries` as one batch; stops the test on a failed batch.
+void RunReachBatch(io::IoContext* context, const BuiltIndex& index,
+                   const std::vector<Query>& queries,
+                   std::vector<QueryAnswer>* answers,
+                   QueryBatchStats* stats) {
+  answers->assign(queries.size(), QueryAnswer{});
+  ASSERT_TRUE(serve::QueryEngine(&*index.reader)
+                  .RunBatch(context, queries.data(), queries.size(),
+                            answers->data(), stats)
+                  .ok());
+}
+
+// ---- Small graphs, every pair ----------------------------------------
+
+struct ReachCase {
+  std::string name;
+  std::vector<Edge> edges;
+  std::vector<NodeId> extra_nodes;
+  std::uint32_t num_labels = 3;
+  // A path condenses to a chain, where interval containment is exact:
+  // the labels refute every negative query without the DFS fallback.
+  bool chain = false;
+};
+
+class ReachabilityIndexTest : public ::testing::TestWithParam<ReachCase> {};
+
+// Every ordered node pair in one batch against BFS on the input graph;
+// the artifact's DAG sizes against BuildCondensation's.
+TEST_P(ReachabilityIndexTest, AllPairsMatchBfs) {
+  const ReachCase& c = GetParam();
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), c.edges, c.extra_nodes);
+  BuiltIndex index;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildIndex(context.get(), g, c.name, c.num_labels, &index));
+
+  const std::string scc_path = context->NewTempPath("scc");
+  ASSERT_TRUE(core::RunExtScc(context.get(), g, scc_path,
+                              core::ExtSccOptions::Basic())
+                  .ok());
+  const auto condensation = scc::BuildCondensation(context.get(), g, scc_path);
+  EXPECT_EQ(index.summary.dag_nodes, condensation.dag.num_nodes);
+  EXPECT_EQ(index.summary.dag_edges, condensation.dag.num_edges);
+
+  const auto nodes = io::ReadAllRecords<NodeId>(context.get(), g.node_path);
+  const graph::Digraph oracle_graph(nodes, c.edges);
+  std::vector<Query> queries;
   for (const NodeId u : nodes) {
     for (const NodeId v : nodes) {
-      EXPECT_EQ(index.Reachable(u, v), OracleReach(oracle_graph, u, v))
-          << u << " -> " << v;
+      queries.push_back({QueryType::kReachable, u, v});
     }
   }
-}
-
-TEST(ReachabilityIndexTest, Fig1AllPairs) {
-  BuildAndVerifyAllPairs(gen::Fig1Edges());
-}
-
-TEST(ReachabilityIndexTest, PathAllPairs) {
-  BuildAndVerifyAllPairs(gen::PathEdges(24));
-}
-
-TEST(ReachabilityIndexTest, CycleEverythingReachesEverything) {
-  BuildAndVerifyAllPairs(gen::CycleEdges(16));
-}
-
-TEST(ReachabilityIndexTest, IsolatedNodesReachOnlyThemselves) {
-  BuildAndVerifyAllPairs(gen::PathEdges(4), /*extra_nodes=*/{90, 91});
-}
-
-TEST(ReachabilityIndexTest, CycleChainsAllPairs) {
-  BuildAndVerifyAllPairs(gen::CycleChainEdges(4, 4));
-}
-
-TEST(ReachabilityIndexTest, SingleLabelStillCorrect) {
-  BuildAndVerifyAllPairs(gen::RandomDigraphEdges(40, 100, 5),
-                         /*extra_nodes=*/{}, /*num_labels=*/1);
-}
-
-TEST(ReachabilityIndexTest, ZeroLabelsRejected) {
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), gen::PathEdges(4));
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  ReachabilityIndexOptions options;
-  options.num_labels = 0;
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, options);
-  EXPECT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(ReachabilityIndexTest, MismatchedLabelFileRejected) {
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), gen::PathEdges(8));
-  // Labels for a *different* (smaller) graph.
-  const auto g_small = graph::MakeDiskGraph(ctx.get(), gen::PathEdges(3));
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g_small, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  EXPECT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(ReachabilityIndexTest, IntervalLabelsRefuteMostNegativeQueries) {
-  // On a long path the DAG is a chain; interval containment is exact, so
-  // no negative query should ever need the DFS fallback.
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), gen::PathEdges(64));
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  ASSERT_TRUE(built.ok());
-  const auto& index = built.value();
+  std::vector<QueryAnswer> answers;
+  QueryBatchStats stats;
+  ASSERT_NO_FATAL_FAILURE(
+      RunReachBatch(context.get(), index, queries, &answers, &stats));
   std::uint64_t negatives = 0;
-  for (NodeId u = 0; u < 64; ++u) {
-    for (NodeId v = 0; v < u; ++v) {
-      ASSERT_FALSE(index.Reachable(u, v));  // path edges point forward
-      ++negatives;
-    }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const bool want =
+        testing::OracleReach(oracle_graph, queries[i].u, queries[i].v);
+    ASSERT_TRUE(answers[i].known);
+    EXPECT_EQ(answers[i].result, want)
+        << queries[i].u << " -> " << queries[i].v;
+    negatives += want ? 0 : 1;
   }
-  EXPECT_EQ(index.stats().queries, negatives);
-  EXPECT_EQ(index.stats().interval_refutations, negatives)
-      << "a chain's intervals nest exactly; no fallback DFS expected";
-  EXPECT_EQ(index.stats().dfs_fallbacks, 0u);
+  EXPECT_EQ(stats.queries, queries.size());
+  if (c.chain) EXPECT_EQ(stats.labels.interval_refutations, negatives);
 }
 
-TEST(ReachabilityIndexTest, QueryStatsAccumulateAndReset) {
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), gen::CycleEdges(8));
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  ASSERT_TRUE(built.ok());
-  const auto& index = built.value();
-  EXPECT_TRUE(index.Reachable(0, 5));
-  EXPECT_EQ(index.stats().queries, 1u);
-  EXPECT_EQ(index.stats().same_scc_hits, 1u);
-  index.ResetQueryStats();
-  EXPECT_EQ(index.stats().queries, 0u);
+INSTANTIATE_TEST_SUITE_P(
+    SmallGraphs, ReachabilityIndexTest,
+    ::testing::Values(
+        ReachCase{"Fig1", gen::Fig1Edges()},
+        ReachCase{"Chain", gen::PathEdges(64), {}, 3, /*chain=*/true},
+        ReachCase{"CycleReachesEverything", gen::CycleEdges(16)},
+        ReachCase{"IsolatedNodesReachOnlyThemselves", gen::PathEdges(4),
+                  {90, 91}},
+        ReachCase{"CycleChains", gen::CycleChainEdges(4, 4)},
+        ReachCase{"OneLabelRound", gen::RandomDigraphEdges(40, 100, 5), {},
+                  1}),
+    [](const ::testing::TestParamInfo<ReachCase>& info) {
+      return info.param.name;
+    });
+
+// ---- Per-batch counters ----------------------------------------------
+
+TEST(ReachabilityIndexBuildTest, SameSccQueryIsALabelHit) {
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), gen::CycleEdges(8));
+  BuiltIndex index;
+  ASSERT_NO_FATAL_FAILURE(BuildIndex(context.get(), g, "cycle", 3, &index));
+  std::vector<QueryAnswer> answers;
+  QueryBatchStats stats;
+  ASSERT_NO_FATAL_FAILURE(RunReachBatch(
+      context.get(), index, {{QueryType::kReachable, 0, 5}}, &answers,
+      &stats));
+  EXPECT_TRUE(answers[0].known);
+  EXPECT_TRUE(answers[0].result);
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.labels.same_scc_hits, 1u);
+  EXPECT_EQ(stats.labels.dfs_fallbacks, 0u);
 }
 
-TEST(ReachabilityIndexTest, DagStatsMatchCondensation) {
-  auto ctx = MakeTestContext();
-  // Two 4-cycles joined by one edge: condensation = 2 nodes, 1 edge.
-  std::vector<Edge> edges = gen::CycleEdges(4);
-  for (const auto& e : gen::CycleEdges(4)) {
-    edges.push_back({e.src + 10, e.dst + 10});
-  }
-  edges.push_back({0, 10});
-  const auto g = graph::MakeDiskGraph(ctx.get(), edges);
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  ASSERT_TRUE(built.ok());
-  EXPECT_EQ(built.value().stats().dag_nodes, 2u);
-  EXPECT_EQ(built.value().stats().dag_edges, 1u);
+// ---- Argument checks -------------------------------------------------
+
+TEST(ReachabilityIndexBuildTest, RejectsZeroLabelRoundsAndUncoveringLabels) {
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), gen::PathEdges(8));
+  const std::string path =
+      testing::ArtifactTestPath(context.get(), "reach_rejected");
+  serve::BuildArtifactOptions zero_rounds;
+  zero_rounds.num_labels = 0;
+  auto built = serve::BuildArtifact(context.get(), g, path, zero_rounds);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
+
+  // Labels solved for a smaller graph do not cover `g`.
+  const auto g_small = graph::MakeDiskGraph(context.get(), gen::PathEdges(3));
+  const std::string scc_path = context->NewTempPath("scc");
+  auto solved = core::RunExtScc(context.get(), g_small, scc_path,
+                                core::ExtSccOptions::Basic());
+  ASSERT_TRUE(solved.ok());
+  auto from_labels = serve::BuildArtifactFromLabels(
+      context.get(), g, scc_path, solved.value().num_sccs, path, {});
+  ASSERT_FALSE(from_labels.ok());
+  EXPECT_EQ(from_labels.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-// Property sweep: random graphs, sampled query pairs vs oracle.
+// ---- Property sweep: random graphs, sampled pairs vs BFS -------------
+
 class ReachabilitySweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(ReachabilitySweep, MatchesOracleOnSampledPairs) {
   const auto [nodes, edges, seed] = GetParam();
   const auto edge_list = gen::RandomDigraphEdges(nodes, edges, seed);
-  auto ctx = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(ctx.get(), edge_list);
-  const std::string scc_path = ctx->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(ctx.get(), g, scc_path,
-                              core::ExtSccOptions::Optimized())
-                  .ok());
-  auto built = ReachabilityIndex::Build(ctx.get(), g, scc_path, {});
-  ASSERT_TRUE(built.ok());
-  const auto& index = built.value();
+  auto context = MakeTestContext();
+  const auto g = graph::MakeDiskGraph(context.get(), edge_list);
+  BuiltIndex index;
+  ASSERT_NO_FATAL_FAILURE(BuildIndex(
+      context.get(), g,
+      "sweep_" + std::to_string(nodes) + "_" + std::to_string(edges) + "_" +
+          std::to_string(seed),
+      3, &index));
 
-  const auto node_ids = io::ReadAllRecords<graph::NodeId>(
-      ctx.get(), g.node_path);
-  graph::Digraph oracle_graph(node_ids, edge_list);
+  const auto node_ids =
+      io::ReadAllRecords<NodeId>(context.get(), g.node_path);
+  const graph::Digraph oracle_graph(node_ids, edge_list);
   util::Rng rng(seed * 1000 + 7);
+  std::vector<Query> queries;
   for (int q = 0; q < 300; ++q) {
     const NodeId u = node_ids[rng.Uniform(node_ids.size())];
     const NodeId v = node_ids[rng.Uniform(node_ids.size())];
-    ASSERT_EQ(index.Reachable(u, v), OracleReach(oracle_graph, u, v))
-        << u << " -> " << v;
+    queries.push_back({QueryType::kReachable, u, v});
+  }
+  std::vector<QueryAnswer> answers;
+  QueryBatchStats stats;
+  ASSERT_NO_FATAL_FAILURE(
+      RunReachBatch(context.get(), index, queries, &answers, &stats));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(answers[i].known);
+    ASSERT_EQ(answers[i].result,
+              testing::OracleReach(oracle_graph, queries[i].u, queries[i].v))
+        << queries[i].u << " -> " << queries[i].v;
   }
 }
 

@@ -1,9 +1,8 @@
 // Batched query engine + service surface: 10k mixed queries against
-// the in-memory oracle, every reachability pair of small graphs against
-// BFS, the interval labels' refutations, the build's argument checks,
-// sweep-I/O sublinearity in batch count, per-device accounting of
-// artifact reads, concurrent readers identical to serial, and the line
-// protocol round trip.
+// the in-memory oracle, sweep-I/O sublinearity in batch count,
+// per-device accounting of artifact reads, concurrent readers identical
+// to serial, and the line protocol round trip. Reachability answers on
+// small graphs, pair by pair, are in reachability_index_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,14 +14,11 @@
 #include <system_error>
 #include <vector>
 
-#include "core/ext_scc.h"
 #include "gen/classic_graphs.h"
 #include "graph/digraph.h"
 #include "graph/disk_graph.h"
 #include "graph/graph_types.h"
 #include "io/io_context.h"
-#include "io/record_stream.h"
-#include "scc/condensation.h"
 #include "serve/artifact.h"
 #include "serve/artifact_stage.h"
 #include "serve/index_builder.h"
@@ -392,109 +388,6 @@ TEST(ServeQueryTest, StagedArtifactSweepStripesAcrossDevices) {
         << "query " << i;
   }
   fs::remove(artifact_path);
-}
-
-// ---- Reachability on small graphs, every pair ------------------------
-
-struct ReachCase {
-  std::string name;
-  std::vector<Edge> edges;
-  std::vector<NodeId> extra_nodes;
-  std::uint32_t num_labels = 3;
-  // A path condenses to a chain, where interval containment is exact:
-  // the labels refute every negative query without the DFS fallback.
-  bool chain = false;
-};
-
-class ServeReachTest : public ::testing::TestWithParam<ReachCase> {};
-
-// Every ordered node pair in one batch against BFS on the input graph;
-// the artifact's DAG sizes against BuildCondensation's.
-TEST_P(ServeReachTest, AllPairsMatchBfs) {
-  const ReachCase& c = GetParam();
-  auto context = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(context.get(), c.edges, c.extra_nodes);
-  serve::BuildArtifactOptions options;
-  options.num_labels = c.num_labels;
-  const std::string path =
-      testing::ArtifactTestPath(context.get(), "serve_reach_" + c.name);
-  auto built = serve::BuildArtifact(context.get(), g, path, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  auto opened = ArtifactReader::Open(context.get(), path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-
-  const std::string scc_path = context->NewTempPath("scc");
-  ASSERT_TRUE(core::RunExtScc(context.get(), g, scc_path,
-                              core::ExtSccOptions::Basic())
-                  .ok());
-  const auto condensation = scc::BuildCondensation(context.get(), g, scc_path);
-  EXPECT_EQ(built.value().summary.dag_nodes, condensation.dag.num_nodes);
-  EXPECT_EQ(built.value().summary.dag_edges, condensation.dag.num_edges);
-
-  const auto nodes = io::ReadAllRecords<NodeId>(context.get(), g.node_path);
-  const graph::Digraph oracle_graph(nodes, c.edges);
-  std::vector<Query> queries;
-  for (const NodeId u : nodes) {
-    for (const NodeId v : nodes) {
-      queries.push_back({QueryType::kReachable, u, v});
-    }
-  }
-  std::vector<QueryAnswer> answers(queries.size());
-  QueryBatchStats stats;
-  ASSERT_TRUE(serve::QueryEngine(&opened.value())
-                  .RunBatch(context.get(), queries.data(), queries.size(),
-                            answers.data(), &stats)
-                  .ok());
-  std::uint64_t negatives = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const bool want =
-        testing::OracleReach(oracle_graph, queries[i].u, queries[i].v);
-    ASSERT_TRUE(answers[i].known);
-    EXPECT_EQ(answers[i].result, want)
-        << queries[i].u << " -> " << queries[i].v;
-    negatives += want ? 0 : 1;
-  }
-  if (c.chain) EXPECT_EQ(stats.labels.interval_refutations, negatives);
-  std::error_code ignored;
-  fs::remove(path, ignored);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SmallGraphs, ServeReachTest,
-    ::testing::Values(
-        ReachCase{"Fig1", gen::Fig1Edges()},
-        ReachCase{"Chain", gen::PathEdges(64), {}, 3, /*chain=*/true},
-        ReachCase{"CycleReachesEverything", gen::CycleEdges(16)},
-        ReachCase{"IsolatedNodesReachOnlyThemselves", gen::PathEdges(4),
-                  {90, 91}},
-        ReachCase{"CycleChains", gen::CycleChainEdges(4, 4)},
-        ReachCase{"OneLabelRound", gen::RandomDigraphEdges(40, 100, 5), {},
-                  1}),
-    [](const ::testing::TestParamInfo<ReachCase>& info) {
-      return info.param.name;
-    });
-
-TEST(ServeQueryTest, BuildRejectsZeroLabelRoundsAndUncoveringLabels) {
-  auto context = MakeTestContext();
-  const auto g = graph::MakeDiskGraph(context.get(), gen::PathEdges(8));
-  const std::string path =
-      testing::ArtifactTestPath(context.get(), "serve_rejected");
-  serve::BuildArtifactOptions zero_rounds;
-  zero_rounds.num_labels = 0;
-  auto built = serve::BuildArtifact(context.get(), g, path, zero_rounds);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
-
-  // Labels solved for a smaller graph do not cover `g`.
-  const auto g_small = graph::MakeDiskGraph(context.get(), gen::PathEdges(3));
-  const std::string scc_path = context->NewTempPath("scc");
-  auto solved = core::RunExtScc(context.get(), g_small, scc_path,
-                                core::ExtSccOptions::Basic());
-  ASSERT_TRUE(solved.ok());
-  auto from_labels = serve::BuildArtifactFromLabels(
-      context.get(), g, scc_path, solved.value().num_sccs, path, {});
-  ASSERT_FALSE(from_labels.ok());
-  EXPECT_EQ(from_labels.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---- Line protocol ---------------------------------------------------
